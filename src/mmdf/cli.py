@@ -91,6 +91,8 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
         _fail(EXIT_CONFIG, str(exc))
     try:
         report = detect_graph(graph, k=k, k_max=k_max)
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     except EstimationError as exc:
         _fail(EXIT_ESTIMATION, f"estimation failed at stage {exc.stage!r}: {exc}")
     out = Path(out_dir)
@@ -126,6 +128,8 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
         _fail(EXIT_CONFIG, str(exc))
     try:
         scan = estimate_k(graph, k_max=k_max)
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     except EstimationError as exc:
         _fail(EXIT_ESTIMATION, str(exc))
     out = Path(out_dir)
@@ -145,6 +149,8 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 def datasets(names: tuple[str, ...], k_max: int, cache_dir: str | None, out_dir: str) -> None:
     """Run the regression suite over registered real networks."""
+    if k_max < 1:
+        _fail(EXIT_CONFIG, f"k_max must be >= 1, got {k_max}")
     for name in names:
         if name not in DATASETS:
             _fail(EXIT_CONFIG, f"unknown dataset {name!r}; known: {', '.join(DATASETS)}")

@@ -47,7 +47,8 @@ class DfspReport:
     memberships: (n, k) nonnegative matrix with unit row sums.
     vertex_indices: rows of the eigenvector matrix picked as simplex
         corners (one estimated pure node per community).
-    eigen: the truncated eigendecomposition that was inverted.
+    eigen: the truncated eigendecomposition that was inverted, exactly
+        k pairs (views into the caller's spectrum when one was passed).
     clipped_rows: rows where clipping removed negative mass.
     degenerate_rows: rows that were entirely nonpositive before
         normalization and were replaced by the uniform distribution.
@@ -109,12 +110,17 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return memberships, vertices, clipped_rows, degenerate_rows
 
 
-def dfsp(a: np.ndarray, k: int) -> DfspReport:
+def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
     """Estimate an (n, k) membership matrix from a symmetric adjacency.
 
     Arguments:
-        a: symmetric real matrix with finite entries (any sign).
-        k: number of communities, 1 <= k <= n.
+        a: symmetric real matrix with finite entries (any sign), or its
+            top_k_eigen holding at least k pairs. A matrix is decomposed
+            here at k; a spectrum is fitted from its first k pairs, which
+            lets a caller fit several k from one decomposition. Both give
+            bitwise the same report.
+        k: number of communities, 1 <= k <= n (and k <= the number of
+            pairs of a passed spectrum).
 
     Raises EstimationError if vertex hunting terminates early or the
     corner matrix is numerically singular; both indicate that k does not
@@ -122,7 +128,7 @@ def dfsp(a: np.ndarray, k: int) -> DfspReport:
     vector; rows that clipped to zero become uniform and are counted in
     the report.
     """
-    eigen = top_k_eigen(a, k)
+    eigen = (a if isinstance(a, TopKEigen) else top_k_eigen(a, k)).head(k)
     if abs(eigen.values[k - 1]) <= _RANK_TOL * max(1.0, abs(eigen.values[0])):
         raise EstimationError(
             "eigendecomposition",

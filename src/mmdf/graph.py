@@ -8,6 +8,7 @@ self-edges are not represented (the diagonal is always zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,12 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @cached_property
+    def _split(self) -> "SignSplit":
+        # sign_split(self), computed once per graph: scoring every k of a
+        # community-count scan reuses it
+        return sign_split(self)
+
     @property
     def edge_count(self) -> int:
         """Number of unordered node pairs with nonzero weight."""
@@ -123,6 +130,8 @@ def sign_split(g: WeightedGraph) -> SignSplit:
     neg.setflags(write=False)
     d_pos = pos.sum(axis=1)
     d_neg = neg.sum(axis=1)
+    d_pos.setflags(write=False)
+    d_neg.setflags(write=False)
     return SignSplit(
         pos=pos,
         neg=neg,

@@ -26,7 +26,8 @@ from .dfsp import EstimationError, dfsp, harden
 from .generator import GeneratorSpec, sample_adjacency
 from .graph import WeightedGraph, load_edge_list
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
-from .modularity import estimate_k, fuzzy_weighted_modularity
+from .modularity import DEFAULT_K_MAX, estimate_k, fuzzy_weighted_modularity
+from .spectral import top_k_eigen
 
 __all__ = [
     "ExperimentConfig",
@@ -49,8 +50,8 @@ class ExperimentConfig:
 
     sweep_parameter currently supports "rho" and "sparsity"; values are
     validated against the weight family before any sampling happens.
-    estimate_counts toggles the community-count scan per replicate
-    (the expensive part of the protocol); k_scan_max bounds that scan.
+    estimate_counts toggles the community-count scan per replicate;
+    k_scan_max bounds that scan and must lie in 1..n when it is on.
     """
 
     generator: GeneratorSpec
@@ -69,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.estimate_counts and not 1 <= self.k_scan_max <= self.generator.n:
+            raise ValueError(
+                f"k_scan_max={self.k_scan_max} out of range for n={self.generator.n}"
+            )
         for v in self.sweep_values:
             self._spec_at(float(v))  # raises on inadmissible values
 
@@ -155,19 +160,23 @@ class SweepReport:
 
 
 def _run_replicate(args) -> tuple[float, float, int | None, str | None]:
-    """One protocol replicate; returns (hamming, relative, k_hat, failure)."""
+    """One protocol replicate; returns (hamming, relative, k_hat, failure).
+
+    One eigendecomposition serves both the fit at the true k and the scan.
+    """
     spec, seed_words, estimate_counts, k_scan_max = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
     graph, truth = sample_adjacency(spec, rng=rng)
+    spectrum = top_k_eigen(graph.weights, max(spec.k, k_scan_max) if estimate_counts else spec.k)
     try:
-        report = dfsp(graph.weights, spec.k)
+        report = dfsp(spectrum, spec.k)
     except EstimationError as exc:
         return (np.nan, np.nan, None, f"{exc.stage}: {exc}")
     errors = membership_errors(report.memberships, truth.memberships)
     k_hat = None
     if estimate_counts:
         try:
-            k_hat = estimate_k(graph, k_max=k_scan_max).best_k
+            k_hat = estimate_k(graph, k_max=k_scan_max, eigen=spectrum).best_k
         except EstimationError:
             k_hat = None
     return (errors.hamming, errors.relative, k_hat, None)
@@ -235,7 +244,8 @@ def run_dataset_suite(
     """Evaluate the estimator across registered real networks.
 
     Missing (unfetched) datasets produce a row with a notice instead of
-    failing the suite.
+    failing the suite. Each graph is decomposed once; the scan and the
+    refits at the selected and the curated count share that spectrum.
     """
     rows = []
     for name in names or list(DATASETS):
@@ -244,21 +254,22 @@ def run_dataset_suite(
         except DatasetMissing as exc:
             rows.append(DatasetRow(name, None, None, None, None, None, None, notice=str(exc)))
             continue
+        scan_max = min(k_max, ds.graph.n - 1)
+        true_k = None
+        if ds.truth is not None and ds.truth.labels is not None and ds.info.true_k:
+            true_k = ds.info.true_k
+        spectrum = top_k_eigen(ds.graph.weights, max(scan_max, true_k or 0))
         try:
-            scan = estimate_k(ds.graph, k_max=min(k_max, ds.graph.n - 1))
+            scan = estimate_k(ds.graph, k_max=scan_max, eigen=spectrum)
         except EstimationError as exc:
             rows.append(DatasetRow(name, ds.graph.n, None, None, None, None, None, notice=str(exc)))
             continue
-        report = dfsp(ds.graph.weights, scan.best_k)
+        report = dfsp(spectrum, scan.best_k)
         q = fuzzy_weighted_modularity(ds.graph, report.memberships)
         eta = mixedness_indices(report.memberships)
         mislabels = None
-        if ds.truth is not None and ds.truth.labels is not None and ds.info.true_k:
-            truth_report = (
-                report
-                if scan.best_k == ds.info.true_k
-                else dfsp(ds.graph.weights, ds.info.true_k)
-            )
+        if true_k is not None:
+            truth_report = report if scan.best_k == true_k else dfsp(spectrum, true_k)
             mislabels = mislabel_count(harden(truth_report.memberships), ds.truth.labels)
         rows.append(
             DatasetRow(
@@ -307,18 +318,28 @@ class DetectReport:
 
 
 def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None = None) -> DetectReport:
-    """Estimate memberships for one graph, scanning for k when not given."""
+    """Estimate memberships for one graph, scanning for k when not given.
+
+    k_max is ignored when k is given; otherwise it defaults to
+    min(DEFAULT_K_MAX, n - 1). One eigendecomposition of min(c + 1, n)
+    pairs, where c is k or k_max, serves the scan, the fit and the k+1
+    magnitudes of the spectral gap. Raises ValueError, before any
+    decomposition, unless c lies in 1..n.
+    """
+    if k is None and k_max is None:
+        k_max = min(DEFAULT_K_MAX, graph.n - 1)
+    name, ceiling = ("k", k) if k is not None else ("k_max", k_max)
+    if not 1 <= ceiling <= graph.n:
+        raise ValueError(f"{name}={ceiling} out of range for n={graph.n}")
+    spectrum = top_k_eigen(graph.weights, min(ceiling + 1, graph.n))
     scan = None
     if k is None:
-        scan = estimate_k(graph, k_max=k_max)
+        scan = estimate_k(graph, k_max=k_max, eigen=spectrum)
         k = scan.best_k
-    report = dfsp(graph.weights, k)
+    report = dfsp(spectrum, k)
     q = fuzzy_weighted_modularity(graph, report.memberships)
     eta = mixedness_indices(report.memberships)
-    from .spectral import top_k_eigen
-
-    probe = top_k_eigen(graph.weights, min(k + 1, graph.n))
-    mags = tuple(float(abs(v)) for v in probe.values)
+    mags = tuple(float(abs(v)) for v in spectrum.values[: k + 1])
     gap = mags[k - 1] - (mags[k] if len(mags) > k else 0.0)
     return DetectReport(
         memberships=report.memberships,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfsp import EstimationError, dfsp, validate_memberships
-from .graph import WeightedGraph, sign_split
+from .graph import WeightedGraph
+from .spectral import TopKEigen, top_k_eigen
 
 __all__ = [
     "ModularityValue",
@@ -67,7 +68,7 @@ def fuzzy_weighted_modularity(g: WeightedGraph, memberships: np.ndarray) -> Modu
             f"membership shape {m.shape} does not match graph with {g.n} nodes"
         )
     validate_memberships(m)
-    split = sign_split(g)
+    split = g._split
     total = 2.0 * split.pos_mass + 2.0 * split.neg_mass
     if total == 0.0:
         return ModularityValue(q=0.0, q_pos=0.0, q_neg=0.0, pos_weight=0.0, neg_weight=0.0)
@@ -123,6 +124,7 @@ def estimate_k(
     g: WeightedGraph,
     k_max: int | None = None,
     stop_when_decreasing: bool = False,
+    eigen: TopKEigen | None = None,
 ) -> KScanResult:
     """Pick the community count maximizing fuzzy weighted modularity.
 
@@ -133,16 +135,23 @@ def estimate_k(
     stop_when_decreasing the scan stops at the first k whose score does
     not improve on its predecessor's; the default scans the full range
     because score curves are routinely non-monotone.
+
+    Every k is fitted from one spectrum: eigen, which must be
+    top_k_eigen(g.weights, K) for some K >= k_max, or else a single
+    decomposition at k_max made here. Raises ValueError, before any
+    decomposition, unless 1 <= k_max <= g.n.
     """
     if k_max is None:
         k_max = min(DEFAULT_K_MAX, g.n - 1)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= g.n:
+        raise ValueError(f"k_max={k_max} out of range for n={g.n}")
+    if eigen is None:
+        eigen = top_k_eigen(g.weights, k_max)
     points: list[KScanPoint] = []
     previous_q: float | None = None
     for k in range(1, k_max + 1):
         try:
-            report = dfsp(g.weights, k)
+            report = dfsp(eigen, k)
         except EstimationError as exc:
             points.append(KScanPoint(k=k, modularity=None, failure=f"{exc.stage}: {exc}"))
             continue

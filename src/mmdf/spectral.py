@@ -4,6 +4,12 @@ magnitude, and greedy vertex hunting by successive projection.
 Both are pure functions over immutable inputs. The eigensolver runs a
 full dense decomposition and truncates; adequate for the desk-scale
 networks this package targets (n up to a few thousand).
+
+The ordering and sign convention of top_k_eigen do not depend on k, so
+top_k_eigen(m, k) is bitwise the first k pairs of top_k_eigen(m, K) for
+any K >= k. Callers that fit several community counts to one graph
+decompose once at the largest count and take prefixes with
+TopKEigen.head.
 """
 
 from __future__ import annotations
@@ -43,6 +49,13 @@ class TopKEigen:
 
     vectors: np.ndarray
     values: np.ndarray
+
+    def head(self, k: int) -> "TopKEigen":
+        """The first k pairs, as views into this spectrum's arrays (read-only
+        when the spectrum came from top_k_eigen)."""
+        if not 1 <= k <= len(self.values):
+            raise ValueError(f"k={k} out of range for a spectrum of {len(self.values)} pairs")
+        return TopKEigen(vectors=self.vectors[:, :k], values=self.values[:k])
 
 
 def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:

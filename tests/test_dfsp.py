@@ -87,6 +87,38 @@ class TestOutputContract:
         assert np.all(m >= 0)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 12))
+    def test_fit_from_larger_spectrum_is_bitwise_the_direct_fit(self, seed, n):
+        from mmdf.spectral import top_k_eigen
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        try:
+            direct = dfsp(a, 3)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as shared:
+                dfsp(top_k_eigen(a, 5), 3)
+            assert shared.value.stage == exc.stage
+            return
+        shared = dfsp(top_k_eigen(a, 5), 3)
+        assert np.array_equal(shared.memberships, direct.memberships)
+        assert np.array_equal(shared.vertex_indices, direct.vertex_indices)
+        assert shared.eigen.vectors.shape == (n, 3)
+        assert np.array_equal(shared.eigen.values, direct.eigen.values)
+        assert np.array_equal(shared.eigen.vectors, direct.eigen.vectors)
+        assert (shared.clipped_rows, shared.degenerate_rows) == (direct.clipped_rows, direct.degenerate_rows)
+
+    def test_spectrum_shorter_than_k_rejected(self, rng):
+        from mmdf.spectral import top_k_eigen
+
+        a = rng.normal(size=(6, 6))
+        a = a + a.T
+        with pytest.raises(ValueError, match="out of range"):
+            dfsp(top_k_eigen(a, 2), 3)
+
     def test_k1_returns_all_ones_column(self, rng):
         a = rng.normal(size=(7, 7))
         a = a + a.T

@@ -58,6 +58,13 @@ class TestRunSimulation:
         assert report.cells[0].accuracy is not None
         assert 0.0 <= report.cells[0].accuracy <= 1.0
 
+    @pytest.mark.parametrize("k_scan_max", [0, -1, 31])
+    def test_scan_ceiling_outside_one_to_n_rejected_upfront(self, k_scan_max):
+        with pytest.raises(ValueError, match="k_scan_max"):
+            small_config(estimate_counts=True, k_scan_max=k_scan_max)
+        # without the scan the ceiling is unused
+        small_config(estimate_counts=False, k_scan_max=k_scan_max)
+
     def test_inadmissible_sweep_value_rejected_upfront(self):
         with pytest.raises(ValueError, match="admissible"):
             small_config(Family.BERNOULLI, values=(0.5, 2.0))
@@ -99,6 +106,41 @@ class TestCli:
         path.write_text(json.dumps({"sweep_values": [1.0]}))
         result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
         assert result.exit_code == 2
+
+    def test_simulate_bad_scan_ceiling_exits_2(self, tmp_path):
+        payload = small_config().to_dict()
+        payload.update(estimate_counts=True, k_scan_max=40)  # n=30
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "error: bad config: k_scan_max=40" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["detect", "--k", "0"],
+        ["detect", "--k", "100"],
+        ["detect", "--k-max", "0"],
+        ["scan-k", "--k-max", "0"],
+        ["scan-k", "--k-max", "40"],
+    ])
+    def test_count_outside_one_to_n_exits_2(self, tmp_path, args):
+        from mmdf.datasets import _fixture_path
+
+        command, *options = args
+        result = CliRunner().invoke(main, [
+            command, str(_fixture_path("karate.edges")), *options, "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output
+        assert "out of range for n=34" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_datasets_zero_k_max_exits_2(self, tmp_path):
+        result = CliRunner().invoke(main, ["datasets", "--only", "karate", "--k-max", "0",
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "error: k_max must be >= 1" in result.output
 
     def test_simulate_missing_config_exits_3(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--config", str(tmp_path / "none.json")])

@@ -1,0 +1,121 @@
+"""One eigendecomposition and one sign split per graph.
+
+Every entry point that fits or scores several community counts on one
+graph shares a single top-k spectrum and a single sign split. These
+tests count the calls at every mmdf binding of top_k_eigen and
+sign_split, so a code path that decomposes again, under any import
+name, is caught.
+"""
+
+import sys
+from collections import defaultdict
+
+import pytest
+
+import mmdf.graph
+import mmdf.spectral
+from mmdf.generator import Family, sample_adjacency
+from mmdf.harness import _run_replicate, detect_graph, run_dataset_suite
+from mmdf.modularity import estimate_k
+
+from conftest import standard_spec
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Argument records of top_k_eigen and sign_split calls, by name."""
+    record = defaultdict(list)
+    originals = {
+        "top_k_eigen": mmdf.spectral.top_k_eigen,
+        "sign_split": mmdf.graph.sign_split,
+    }
+    for name, original in originals.items():
+        def counting(*args, _name=name, _original=original, **kwargs):
+            record[_name].append(args)
+            return _original(*args, **kwargs)
+
+        bound = 0
+        for module_name, module in list(sys.modules.items()):
+            if module is None or not (module_name == "mmdf" or module_name.startswith("mmdf.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+                    bound += 1
+        assert bound, f"no mmdf module binds {name}"
+    return record
+
+
+def decomposed_sizes(calls):
+    return [(len(m), k) for m, k in calls["top_k_eigen"]]
+
+
+@pytest.fixture
+def graph():
+    # fresh per test: a graph caches its sign split
+    g, _ = sample_adjacency(standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12, seed=3))
+    return g
+
+
+def test_estimate_k_decomposes_once_at_k_max(calls, graph):
+    scan = estimate_k(graph, k_max=5)
+    assert len(scan.curve) == 5
+    assert decomposed_sizes(calls) == [(60, 5)]
+    assert len(calls["sign_split"]) == 1
+
+
+def test_estimate_k_reuses_a_passed_spectrum(calls, graph):
+    spectrum = mmdf.spectral.top_k_eigen(graph.weights, 7)
+    shared = estimate_k(graph, k_max=5, eigen=spectrum)
+    assert decomposed_sizes(calls) == [(60, 7)]
+    assert shared == estimate_k(graph, k_max=5)
+
+
+def test_estimate_k_rejects_short_spectrum(graph):
+    with pytest.raises(ValueError, match="out of range for a spectrum of 4 pairs"):
+        estimate_k(graph, k_max=5, eigen=mmdf.spectral.top_k_eigen(graph.weights, 4))
+
+
+def test_detect_auto_k_shares_one_spectrum(calls, graph):
+    report = detect_graph(graph, k_max=5)
+    assert decomposed_sizes(calls) == [(60, 6)]
+    assert len(calls["sign_split"]) == 1
+    assert len(report.eigenvalue_magnitudes) == report.best_k + 1
+
+
+def test_detect_fixed_k_shares_one_spectrum(calls, graph):
+    report = detect_graph(graph, k=3)
+    assert decomposed_sizes(calls) == [(60, 4)]
+    assert len(calls["sign_split"]) == 1
+    assert len(report.eigenvalue_magnitudes) == 4
+
+
+def test_detect_gap_matches_a_separate_probe(graph):
+    report = detect_graph(graph, k_max=5)
+    probe = mmdf.spectral.top_k_eigen(graph.weights, report.best_k + 1)
+    assert report.eigenvalue_magnitudes == tuple(float(abs(v)) for v in probe.values)
+
+
+def test_detect_rejects_counts_before_decomposing(calls, graph):
+    for kwargs in ({"k": 0}, {"k": 61}, {"k_max": 0}, {"k_max": 61}):
+        with pytest.raises(ValueError, match="out of range for n=60"):
+            detect_graph(graph, **kwargs)
+    assert decomposed_sizes(calls) == []
+
+
+@pytest.mark.parametrize("estimate_counts,expected", [(True, [(60, 5)]), (False, [(60, 3)])])
+def test_replicate_decomposes_once(calls, estimate_counts, expected):
+    spec = standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12)
+    _, _, k_hat, failure = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
+    assert failure is None
+    assert (k_hat is not None) == estimate_counts
+    assert decomposed_sizes(calls) == expected
+    assert len(calls["sign_split"]) == (1 if estimate_counts else 0)
+
+
+def test_dataset_suite_decomposes_once_per_graph(calls):
+    rows = run_dataset_suite(["karate", "gahuku-gama", "slovene-parties"], k_max=12)
+    assert [r.notice for r in rows] == [None, None, None]
+    # slovene-parties (n=10) scans only up to n - 1
+    assert decomposed_sizes(calls) == [(34, 12), (16, 12), (10, 9)]
+    assert len(calls["sign_split"]) == 3

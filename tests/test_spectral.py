@@ -70,6 +70,30 @@ class TestTopKEigen:
         with pytest.raises(ValueError, match="out of range"):
             top_k_eigen(np.eye(3), 4)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
+    def test_smaller_k_is_bitwise_prefix(self, seed, n, data):
+        # the contract that lets one decomposition serve every k
+        k_max = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(1, k_max))
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        full = top_k_eigen(m, k_max)
+        direct = top_k_eigen(m, k)
+        head = full.head(k)
+        assert np.array_equal(head.values, direct.values)
+        assert np.array_equal(head.vectors, direct.vectors)
+        assert head.vectors.shape == (n, k)
+        assert not head.values.flags.writeable
+        assert not head.vectors.flags.writeable
+
+    def test_head_rejects_bad_k(self):
+        full = top_k_eigen(np.diag([3.0, 1.0, -2.0]), 2)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                full.head(k)
+
 
 class TestSuccessiveProjection:
     def test_identity_rows_in_index_order(self):
