@@ -21,11 +21,11 @@ import click
 
 from .datasets import DATASETS, available_datasets
 from .dfsp import EstimationError
+from .graph import load_edge_list
 from .harness import (
     ExperimentConfig,
     PROFILES,
     detect_graph,
-    load_graph_file,
     run_dataset_suite,
     run_simulation,
     write_dataset_csv,
@@ -84,7 +84,7 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
 def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str | None, out_dir: str) -> None:
     """Estimate memberships for one edge-list graph."""
     try:
-        graph = load_graph_file(graph_path, labels_path=labels_path)
+        graph = load_edge_list(graph_path, labels_path=labels_path).graph
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except ValueError as exc:
@@ -121,7 +121,7 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
     from .modularity import estimate_k
 
     try:
-        graph = load_graph_file(graph_path, labels_path=labels_path)
+        graph = load_edge_list(graph_path, labels_path=labels_path).graph
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except ValueError as exc:

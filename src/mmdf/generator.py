@@ -12,12 +12,13 @@ thinned by an independent bernoulli(p) mask to create missing edges.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import log, sqrt
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import squareform
 
 from .dfsp import validate_memberships
 from .graph import GroundTruth, WeightedGraph
@@ -222,8 +223,7 @@ class GeneratorSpec:
         if self.sparsity is not None and not 0.0 <= self.sparsity <= 1.0:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         # mean-domain check for the bounded families
-        omega = self.rho * m @ self.connectivity.entries @ m.T
-        _check_mean_domain(omega, self.distribution)
+        _check_mean_domain(_block_mean(self), self.distribution)
 
     @property
     def n(self) -> int:
@@ -232,9 +232,6 @@ class GeneratorSpec:
     @property
     def k(self) -> int:
         return self.memberships.shape[1]
-
-    def with_rho(self, rho: float) -> "GeneratorSpec":
-        return replace(self, rho=rho)
 
     def to_dict(self) -> dict:
         return {
@@ -282,14 +279,19 @@ def _check_mean_domain(omega: np.ndarray, distribution: EdgeDistribution) -> Non
         )
 
 
+def _block_mean(spec: GeneratorSpec) -> np.ndarray:
+    # rho * Pi P Pi' as computed; symmetric only up to rounding
+    m = spec.memberships
+    return spec.rho * m @ spec.connectivity.entries @ m.T
+
+
 def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
     """Expected adjacency rho * Pi P Pi' (diagonal not zeroed).
 
     This is the rank-k expectation object; only sampled networks zero
     their diagonal.
     """
-    m = spec.memberships
-    omega = spec.rho * m @ spec.connectivity.entries @ m.T
+    omega = _block_mean(spec)
     omega = 0.5 * (omega + omega.T)
     omega.setflags(write=False)
     return omega
@@ -336,16 +338,18 @@ def sample_adjacency(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    omega = population_adjacency(spec)
+    omega = _block_mean(spec)
     n = spec.n
-    iu = np.triu_indices(n, k=1)
-    values = _draw_weights(rng, omega[iu], spec.distribution)
+    # strict upper triangle in row-major order, the order squareform reads;
+    # the means are population_adjacency's, averaged only where drawn
+    upper = np.arange(n)[:, None] < np.arange(n)
+    means = 0.5 * (omega[upper] + omega.T[upper])
+    values = _draw_weights(rng, means, spec.distribution)
     if spec.sparsity is not None:
         mask = rng.random(values.shape) < spec.sparsity
         values = values * mask
-    a = np.zeros((n, n))
-    a[iu] = values
-    a = a + a.T
+    # + 0.0 turns the -0.0 of masked negative draws into +0.0
+    a = squareform(values + 0.0, checks=False)
     graph = WeightedGraph(a)
     if spec.sparsity is not None:
         n_components = connected_components(a != 0.0, directed=False)[0]

@@ -76,9 +76,15 @@ class WeightedGraph:
 
     @cached_property
     def _split(self) -> "SignSplit":
-        # sign_split(self), computed once per graph: scoring every k of a
-        # community-count scan reuses it
-        return sign_split(self)
+        # sign_split of this graph scaled by the power of two that brings
+        # its largest |weight| into [1, 2), computed once per graph:
+        # scoring every k of a community-count scan reuses it. The scaling
+        # is exact, so scale-free scores are unchanged by it, and it keeps
+        # their squared degree sums finite for any finite weights.
+        w = self.weights
+        peak = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
+        shift = 1 - int(np.frexp(peak)[1])
+        return sign_split(self if shift == 0 else WeightedGraph(np.ldexp(w, shift)))
 
     @property
     def edge_count(self) -> int:
@@ -316,9 +322,20 @@ def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path 
 
     Node identifiers are the graph's labels when present, else 1-based
     indices. Weights use repr so reloading reproduces the matrix exactly.
+    Raises ValueError naming the label, before any file is written, when
+    a label is empty, repeated, or contains whitespace, ``#``, ``,`` or
+    a lone surrogate: load_edge_list could not read it back (a surrogate
+    cannot even be encoded).
     """
     path = Path(path)
     names = g.node_labels or tuple(str(i + 1) for i in range(g.n))
+    seen: set[str] = set()
+    for name in names:
+        if not name or any(c.isspace() or c in "#," or "\ud800" <= c <= "\udfff" for c in name):
+            raise ValueError(f"node label {name!r} cannot be read back from an edge list")
+        if name in seen:
+            raise ValueError(f"node label {name!r} is repeated")
+        seen.add(name)
     lines = []
     iu, ju = np.triu_indices(g.n, k=1)
     for i, j in zip(iu, ju):

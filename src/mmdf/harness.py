@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import DATASETS, DatasetMissing, load_dataset
 from .dfsp import EstimationError, dfsp, harden
 from .generator import GeneratorSpec, sample_adjacency
-from .graph import WeightedGraph, load_edge_list
+from .graph import WeightedGraph
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import DEFAULT_K_MAX, estimate_k, fuzzy_weighted_modularity
 from .spectral import top_k_eigen
@@ -358,8 +358,3 @@ def write_membership_csv(memberships: np.ndarray, path: str | Path) -> None:
     """One row per node, full decimal precision."""
     lines = [",".join(repr(float(x)) for x in row) for row in np.asarray(memberships)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_graph_file(path: str | Path, labels_path: str | Path | None = None) -> WeightedGraph:
-    """Edge-list convenience loader for harness and CLI callers."""
-    return load_edge_list(path, labels_path=labels_path).graph

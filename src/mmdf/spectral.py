@@ -63,11 +63,17 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
 
     Arguments:
         m: (n, n) real matrix, symmetric within 1e-9 relative tolerance.
+            An exactly symmetric matrix (every WeightedGraph) is
+            decomposed as given; an inexactly symmetric one within the
+            tolerance is replaced by its average 0.5 * (m + m.T) first.
         k: number of eigenpairs, 1 <= k <= n.
 
     The decomposition is deterministic: eigenvalues are sorted by
     decreasing magnitude (stable for ties) and each eigenvector's sign
-    is fixed by its largest-magnitude entry.
+    is fixed by its largest-magnitude entry. Raises ValueError when the
+    matrix is not symmetric within tolerance, or when the solver
+    returns a non-finite eigenvalue or eigenvector (weights near the
+    float64 limit).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -75,14 +81,18 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    if not np.array_equal(m, m.T):
+        scale = max(1.0, float(np.abs(m).max()))
+        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
+            raise ValueError("matrix is not symmetric within tolerance")
+        m = 0.5 * (m + m.T)
 
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    vals, vecs = np.linalg.eigh(m)
     order = np.argsort(-np.abs(vals), kind="stable")[:k]
-    vals = vals[order]
     vecs = vecs[:, order]
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise ValueError("eigendecomposition returned non-finite eigenpairs")
+    vals = vals[order]
     for c in range(k):
         lead = np.argmax(np.abs(vecs[:, c]))
         if vecs[lead, c] < 0:

@@ -135,7 +135,43 @@ class TestPopulation:
             )
 
 
+def triu_sample_oracle(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
+    """Reference draw: the full symmetrized mean read at triu_indices,
+    scattered into a zero matrix and mirrored with a + a.T."""
+    from mmdf.generator import _draw_weights
+
+    n = spec.n
+    iu = np.triu_indices(n, k=1)
+    values = _draw_weights(rng, population_adjacency(spec)[iu], spec.distribution)
+    if spec.sparsity is not None:
+        values = values * (rng.random(values.shape) < spec.sparsity)
+    a = np.zeros((n, n))
+    a[iu] = values
+    return a + a.T
+
+
+FAMILY_RHO = {
+    Family.NORMAL: 0.5,
+    Family.BERNOULLI: 0.3,
+    Family.POISSON: 2.0,
+    Family.UNIFORM: 1.5,
+    Family.SIGNED: 0.4,
+    Family.POINT_MASS: 1.0,
+}
+
+
 class TestSampling:
+    @pytest.mark.parametrize("sparsity", [None, 0.5])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bytes_match_triu_oracle(self, family, sparsity):
+        # bitwise, so a -0.0 left by the sparsity mask shows as a mismatch
+        for seed in range(3):
+            spec = standard_spec(family, rho=FAMILY_RHO[family], n=60, pure=12,
+                                 seed=seed, sparsity=sparsity)
+            graph, _ = sample_adjacency(spec)
+            expected = triu_sample_oracle(spec, np.random.default_rng(seed))
+            assert graph.weights.tobytes() == expected.tobytes()
+
     def test_point_mass_reproduces_population(self):
         spec = standard_spec(Family.POINT_MASS, rho=3.0, n=40, pure=8)
         graph, _ = sample_adjacency(spec)

@@ -1,5 +1,10 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmdf.graph import (
     ParseError,
@@ -129,6 +134,47 @@ def test_round_trip_exact(tmp_path, rng):
     write_edge_list(g, edges, labels_path=labels)
     reloaded = load_edge_list(edges, labels_path=labels).graph
     assert np.array_equal(reloaded.weights, g.weights)
+
+
+# label text that load_edge_list reads back: no whitespace, '#', ',' or
+# lone surrogate
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="#,"))
+READABLE_LABEL = _TEXT.filter(lambda s: s != "" and not any(c.isspace() for c in s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(READABLE_LABEL, min_size=1, max_size=8, unique=True), st.integers(0, 2**32 - 1))
+def test_round_trip_over_label_text(labels, seed):
+    n = len(labels)
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7), 1)
+    g = WeightedGraph(w + w.T, tuple(labels))
+    with tempfile.TemporaryDirectory() as d:
+        edges, roster = Path(d) / "g.edges", Path(d) / "g.labels"
+        write_edge_list(g, edges, labels_path=roster)
+        reloaded = load_edge_list(edges, labels_path=roster).graph
+    assert reloaded.node_labels == g.node_labels
+    assert np.array_equal(reloaded.weights, g.weights)
+
+
+def assert_rejected_before_any_write(names, culprit):
+    g = WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), names)
+    with tempfile.TemporaryDirectory() as d:
+        with pytest.raises(ValueError, match=re.escape(repr(culprit))):
+            write_edge_list(g, Path(d) / "g.edges", labels_path=Path(d) / "g.labels")
+        assert list(Path(d).iterdir()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(lambda a, c, b: a + c + b, _TEXT,
+                 st.sampled_from("#, \t\n\r\x0b\x1c\x85\xa0\u2028\u3000\ud800\udfff"), _TEXT))
+def test_label_with_unreadable_character_rejected(bad):
+    assert_rejected_before_any_write((bad, "ok"), bad)
+
+
+@pytest.mark.parametrize("names,culprit", [(("ok", ""), ""), (("ok", "ok"), "ok")])
+def test_empty_or_repeated_label_rejected(names, culprit):
+    assert_rejected_before_any_write(names, culprit)
 
 
 class TestSignSplit:

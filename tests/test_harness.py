@@ -189,6 +189,17 @@ class TestCli:
         assert result.exit_code == 4
         assert "eigendecomposition" in result.output or "estimation" in result.output
 
+    def test_detect_non_finite_spectrum_exits_2(self, tmp_path):
+        # finite weights whose eigenvalues exceed the float64 range
+        graph = tmp_path / "huge.edges"
+        graph.write_text("a b 1.5e308\nb c 1.2e308\nc d 1.5e308\nd a -1.0e308\na c 1.6e308\n")
+        result = CliRunner().invoke(main, ["detect", str(graph), "--k", "2", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output
+        assert "non-finite" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_scan_k_writes_curve(self, tmp_path):
         from mmdf.datasets import _fixture_path
 

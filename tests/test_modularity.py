@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mmdf.graph import WeightedGraph
 from mmdf.modularity import estimate_k, fuzzy_weighted_modularity
@@ -132,6 +133,31 @@ class TestFuzzyWeightedModularity:
         # arbitrary positive scales agree to rounding error
         near = fuzzy_weighted_modularity(WeightedGraph(3.7 * w), m)
         assert near.q == pytest.approx(base.q, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(-1000, 1000))
+    def test_binary_scaling_is_bitwise_invariant_at_any_exponent(self, seed, n, j):
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.normal(size=(n, n)), 1)
+        w = w + w.T
+        scaled = np.ldexp(w, j)
+        # the scaled graph must hold w exactly (no overflow, no lost bits)
+        assume(np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -j), w))
+        m = rng.dirichlet(np.ones(3), size=n)
+        base = fuzzy_weighted_modularity(WeightedGraph(w), m)
+        assert fuzzy_weighted_modularity(WeightedGraph(scaled), m) == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+    def test_finite_for_any_finite_weights(self, seed, n, data):
+        upper = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, 1)] = upper
+        w = w + w.T
+        m = np.random.default_rng(seed).dirichlet(np.ones(3), size=n)
+        value = fuzzy_weighted_modularity(WeightedGraph(w), m)
+        assert all(np.isfinite([value.q, value.q_pos, value.q_neg, value.pos_weight, value.neg_weight]))
 
     def test_column_permutation_invariance(self, rng):
         w = rng.normal(size=(6, 6))

@@ -70,6 +70,37 @@ class TestTopKEigen:
         with pytest.raises(ValueError, match="out of range"):
             top_k_eigen(np.eye(3), 4)
 
+    @pytest.mark.parametrize("peak", [1.0, 1.2e308])
+    def test_exactly_symmetric_input_is_decomposed_as_given(self, rng, peak):
+        # at peak 1.2e308, m + m.T overflows while every eigenvalue is finite
+        m = rng.normal(size=(9, 9))
+        m = (0.01 * (m + m.T) + np.diag(np.linspace(1.0, -0.9, 9))) * peak
+        res = top_k_eigen(m, 4)
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(-np.abs(vals), kind="stable")[:4]
+        vals, vecs = vals[order], vecs[:, order]
+        lead = np.argmax(np.abs(vecs), axis=0)
+        vecs = vecs * np.where(vecs[lead, np.arange(4)] < 0, -1.0, 1.0)
+        assert res.values.tobytes() == vals.tobytes()
+        assert res.vectors.tobytes() == vecs.tobytes()
+
+    def test_inexact_input_within_tolerance_is_averaged(self, rng):
+        m = rng.normal(size=(9, 9))
+        m = m + m.T
+        m[0, 1] += 1e-12
+        assert not np.array_equal(m, m.T)
+        res = top_k_eigen(m, 4)
+        avg = top_k_eigen(0.5 * (m + m.T), 4)
+        assert res.values.tobytes() == avg.values.tobytes()
+        assert res.vectors.tobytes() == avg.vectors.tobytes()
+
+    def test_rejects_non_finite_spectrum(self):
+        # finite weights whose eigenvalues exceed the float64 range
+        m = np.full((4, 4), 1.5e308)
+        np.fill_diagonal(m, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            top_k_eigen(m, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
     def test_smaller_k_is_bitwise_prefix(self, seed, n, data):
