@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ def default_cache_dir() -> Path:
 
 
 def _fixture_path(filename: str) -> Path:
-    return Path(resources.files("mmdf").joinpath("data", filename))
+    return Path(__file__).resolve().parent / "data" / filename
 
 
 def _dataset_files(info: DatasetInfo, cache_dir: Path | None) -> tuple[Path, Path | None, Path | None]:

@@ -17,8 +17,6 @@ from enum import Enum
 from math import log, sqrt
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import squareform
 
 from .dfsp import validate_memberships
 from .graph import GroundTruth, WeightedGraph
@@ -340,8 +338,8 @@ def sample_adjacency(
         rng = np.random.default_rng(spec.seed)
     omega = _block_mean(spec)
     n = spec.n
-    # strict upper triangle in row-major order, the order squareform reads;
-    # the means are population_adjacency's, averaged only where drawn
+    # strict upper triangle in row-major order; the means are
+    # population_adjacency's, averaged only where drawn
     upper = np.arange(n)[:, None] < np.arange(n)
     means = 0.5 * (omega[upper] + omega.T[upper])
     values = _draw_weights(rng, means, spec.distribution)
@@ -349,9 +347,14 @@ def sample_adjacency(
         mask = rng.random(values.shape) < spec.sparsity
         values = values * mask
     # + 0.0 turns the -0.0 of masked negative draws into +0.0
-    a = squareform(values + 0.0, checks=False)
+    values = values + 0.0
+    a = np.zeros((n, n))
+    a[upper] = values
+    a.T[upper] = values
     graph = WeightedGraph(a)
     if spec.sparsity is not None:
+        from scipy.sparse.csgraph import connected_components
+
         n_components = connected_components(a != 0.0, directed=False)[0]
         if n_components > 1:
             warnings.warn(

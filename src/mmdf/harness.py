@@ -15,7 +15,6 @@ and mislabel counts where curated truth exists.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -197,6 +196,8 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
             for r in range(config.replications)
         ]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_replicate, tasks))
         else:
@@ -244,8 +245,10 @@ def run_dataset_suite(
     """Evaluate the estimator across registered real networks.
 
     Missing (unfetched) datasets produce a row with a notice instead of
-    failing the suite. Each graph is decomposed once; the scan and the
-    refits at the selected and the curated count share that spectrum.
+    failing the suite. Each graph is decomposed once and each count is
+    fitted once: the selected count's fit and score, and the curated
+    count's fit when the scan reached it, are read off the scan; only a
+    curated count the scan did not fit is fitted from the same spectrum.
     """
     rows = []
     for name in names or list(DATASETS):
@@ -264,19 +267,19 @@ def run_dataset_suite(
         except EstimationError as exc:
             rows.append(DatasetRow(name, ds.graph.n, None, None, None, None, None, notice=str(exc)))
             continue
-        report = dfsp(spectrum, scan.best_k)
-        q = fuzzy_weighted_modularity(ds.graph, report.memberships)
-        eta = mixedness_indices(report.memberships)
+        best = scan.point(scan.best_k)
+        eta = mixedness_indices(best.report.memberships)
         mislabels = None
         if true_k is not None:
-            truth_report = report if scan.best_k == true_k else dfsp(spectrum, true_k)
+            at_true = scan.point(true_k)
+            truth_report = at_true.report if at_true is not None and at_true.ok else dfsp(spectrum, true_k)
             mislabels = mislabel_count(harden(truth_report.memberships), ds.truth.labels)
         rows.append(
             DatasetRow(
                 name=name,
                 n=ds.graph.n,
                 best_k=scan.best_k,
-                q_best=q.q,
+                q_best=best.modularity.q,
                 eta_mixed=eta.eta_mixed,
                 eta_pure=eta.eta_pure,
                 mislabels=mislabels,
@@ -323,7 +326,8 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
     k_max is ignored when k is given; otherwise it defaults to
     min(DEFAULT_K_MAX, n - 1). One eigendecomposition of min(c + 1, n)
     pairs, where c is k or k_max, serves the scan, the fit and the k+1
-    magnitudes of the spectral gap. Raises ValueError, before any
+    magnitudes of the spectral gap; a scan's fit and score at the
+    selected k are reused, not recomputed. Raises ValueError, before any
     decomposition, unless c lies in 1..n.
     """
     if k is None and k_max is None:
@@ -335,9 +339,11 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
     scan = None
     if k is None:
         scan = estimate_k(graph, k_max=k_max, eigen=spectrum)
-        k = scan.best_k
-    report = dfsp(spectrum, k)
-    q = fuzzy_weighted_modularity(graph, report.memberships)
+        best = scan.point(scan.best_k)
+        k, report, q = best.k, best.report, best.modularity
+    else:
+        report = dfsp(spectrum, k)
+        q = fuzzy_weighted_modularity(graph, report.memberships)
     eta = mixedness_indices(report.memberships)
     mags = tuple(float(abs(v)) for v in spectrum.values[: k + 1])
     gap = mags[k - 1] - (mags[k] if len(mags) > k else 0.0)

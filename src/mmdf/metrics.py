@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "ErrorPair",
@@ -60,6 +59,8 @@ def _min_cost_permutation(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
                 best = total
                 best_perm = perm
         return float(best), tuple(best_perm)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()), tuple(int(c) for c in cols)
 

@@ -11,11 +11,11 @@ to fuzzy modularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfsp import EstimationError, dfsp, validate_memberships
+from .dfsp import DfspReport, EstimationError, dfsp, validate_memberships
 from .graph import WeightedGraph
 from .spectral import TopKEigen, top_k_eigen
 
@@ -92,9 +92,16 @@ DEFAULT_K_MAX = 15
 
 @dataclass(frozen=True)
 class KScanPoint:
+    """One k of a scan: its score, or the stage that failed.
+
+    report is the fit that was scored, kept so callers need not refit
+    this k; it takes no part in equality or repr.
+    """
+
     k: int
     modularity: ModularityValue | None
     failure: str | None = None
+    report: DfspReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -108,6 +115,10 @@ class KScanResult:
     best_k: int
     curve: tuple[KScanPoint, ...]
     k_max: int
+
+    def point(self, k: int) -> KScanPoint | None:
+        """The curve's point at k, or None when the scan did not reach k."""
+        return self.curve[k - 1] if 1 <= k <= len(self.curve) else None
 
     def curve_rows(self) -> list[tuple[int, float | None]]:
         return [(p.k, p.modularity.q if p.ok else None) for p in self.curve]
@@ -156,7 +167,7 @@ def estimate_k(
             points.append(KScanPoint(k=k, modularity=None, failure=f"{exc.stage}: {exc}"))
             continue
         value = fuzzy_weighted_modularity(g, report.memberships)
-        points.append(KScanPoint(k=k, modularity=value))
+        points.append(KScanPoint(k=k, modularity=value, report=report))
         if stop_when_decreasing and previous_q is not None and value.q <= previous_q:
             break
         previous_q = value.q

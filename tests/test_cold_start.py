@@ -1,0 +1,61 @@
+"""Cold start: importing mmdf and running its common paths loads no scipy.
+
+scipy is needed only for sparsity-thinned sampling (the connectivity
+check) and for matching more than eight communities; importing it costs
+more than every CLI command on the bundled networks. A fresh interpreter
+imports the package and the CLI, runs detect, scan-k and datasets and a
+non-sparse simulation with the count scan, and then lists the heavy
+modules that were loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+import mmdf, mmdf.cli
+from mmdf.cli import main
+from mmdf.generator import Family
+from mmdf.harness import ExperimentConfig, run_simulation
+from conftest import standard_spec
+
+out, data = sys.argv[1], sys.argv[2]
+edges, labels = data + "/karate.edges", data + "/karate.labels"
+for args in (
+    ["detect", edges, "--labels", labels, "--out", out + "/detect"],
+    ["scan-k", edges, "--labels", labels, "--k-max", "5", "--out", out + "/scan"],
+    ["datasets", "--only", "karate", "--out", out + "/datasets"],
+):
+    main(args, standalone_mode=False)
+config = ExperimentConfig(
+    generator=standard_spec(Family.BERNOULLI, rho=0.5, n=60, pure=12),
+    sweep_values=(0.5,),
+    replications=1,
+    estimate_counts=True,
+    k_scan_max=4,
+)
+run_simulation(config)
+heavy = [m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process"]
+print(json.dumps(sorted(heavy)))
+"""
+
+
+def test_common_paths_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path), str(ROOT / "src" / "mmdf" / "data")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "detect" / "detect.json").exists()
+    assert (tmp_path / "scan" / "scan.csv").exists()
+    assert (tmp_path / "datasets" / "datasets.csv").exists()
+    assert json.loads(done.stdout.splitlines()[-1]) == []

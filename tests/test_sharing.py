@@ -1,10 +1,11 @@
-"""One eigendecomposition and one sign split per graph.
+"""One eigendecomposition, one sign split and one fit per graph and k.
 
 Every entry point that fits or scores several community counts on one
-graph shares a single top-k spectrum and a single sign split. These
-tests count the calls at every mmdf binding of top_k_eigen and
-sign_split, so a code path that decomposes again, under any import
-name, is caught.
+graph shares a single top-k spectrum and a single sign split, and fits
+and scores each count once. These tests count the calls at every mmdf
+binding of top_k_eigen, sign_split, dfsp and fuzzy_weighted_modularity,
+so a code path that decomposes or fits again, under any import name,
+is caught.
 """
 
 import sys
@@ -13,6 +14,7 @@ from collections import defaultdict
 import pytest
 
 import mmdf.graph
+import mmdf.modularity
 import mmdf.spectral
 from mmdf.generator import Family, sample_adjacency
 from mmdf.harness import _run_replicate, detect_graph, run_dataset_suite
@@ -21,14 +23,9 @@ from mmdf.modularity import estimate_k
 from conftest import standard_spec
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Argument records of top_k_eigen and sign_split calls, by name."""
+def _record_calls(monkeypatch, originals):
+    """Argument records of calls to originals, by name, at every mmdf binding."""
     record = defaultdict(list)
-    originals = {
-        "top_k_eigen": mmdf.spectral.top_k_eigen,
-        "sign_split": mmdf.graph.sign_split,
-    }
     for name, original in originals.items():
         def counting(*args, _name=name, _original=original, **kwargs):
             record[_name].append(args)
@@ -44,6 +41,24 @@ def calls(monkeypatch):
                     bound += 1
         assert bound, f"no mmdf module binds {name}"
     return record
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Argument records of top_k_eigen and sign_split calls, by name."""
+    return _record_calls(monkeypatch, {
+        "top_k_eigen": mmdf.spectral.top_k_eigen,
+        "sign_split": mmdf.graph.sign_split,
+    })
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Argument records of dfsp and fuzzy_weighted_modularity calls, by name."""
+    return _record_calls(monkeypatch, {
+        "dfsp": sys.modules["mmdf.dfsp"].dfsp,
+        "fuzzy_weighted_modularity": mmdf.modularity.fuzzy_weighted_modularity,
+    })
 
 
 def decomposed_sizes(calls):
@@ -119,3 +134,43 @@ def test_dataset_suite_decomposes_once_per_graph(calls):
     # slovene-parties (n=10) scans only up to n - 1
     assert decomposed_sizes(calls) == [(34, 12), (16, 12), (10, 9)]
     assert len(calls["sign_split"]) == 3
+
+
+def fit_counts(fits):
+    return len(fits["dfsp"]), len(fits["fuzzy_weighted_modularity"])
+
+
+def test_detect_auto_k_fits_each_count_once(fits, graph):
+    report = detect_graph(graph, k_max=5)
+    assert fit_counts(fits) == (5, 5)
+    best = report.scan.point(report.best_k)
+    assert report.q == best.modularity.q
+    assert report.memberships is best.report.memberships
+
+
+def test_detect_fixed_k_fits_once(fits, graph):
+    detect_graph(graph, k=3)
+    assert fit_counts(fits) == (1, 1)
+
+
+def test_dataset_suite_fits_each_count_once(fits):
+    # karate's curated count (2) lies inside the scan, so nothing is refitted
+    rows = run_dataset_suite(["karate"], k_max=8)
+    assert rows[0].notice is None and rows[0].mislabels is not None
+    assert fit_counts(fits) == (8, 8)
+
+
+def test_dataset_suite_fits_a_curated_count_beyond_the_scan(fits):
+    # gahuku-gama's curated count (3) lies beyond a k_max=2 scan
+    rows = run_dataset_suite(["gahuku-gama"], k_max=2)
+    assert rows[0].mislabels is not None
+    assert [k for _, k in fits["dfsp"]] == [1, 2, 3]
+    assert len(fits["fuzzy_weighted_modularity"]) == 2
+
+
+def test_scan_point_keeps_its_fit_out_of_equality(graph):
+    scan = estimate_k(graph, k_max=3)
+    assert [scan.point(k).k for k in (1, 2, 3)] == [1, 2, 3]
+    assert scan.point(0) is None and scan.point(4) is None
+    assert scan.point(2).report.memberships.shape == (60, 2)
+    assert "report" not in repr(scan)
