@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .datasets import DATASETS, available_datasets
 from .dfsp import EstimationError
 from .graph import load_edge_list
@@ -43,7 +44,7 @@ def _fail(code: int, message: str) -> None:
 
 
 @click.group()
-@click.version_option(package_name="mmdf")
+@click.version_option(version=__version__)
 def main() -> None:
     """Overlapping community detection for weighted and signed networks."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import log, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "check_connectivity",
     "population_adjacency",
     "sample_adjacency",
-    "noise_diagnostics",
 ]
 
 _RANK_TOL = 1e-10
@@ -299,6 +298,20 @@ class DisconnectedSampleWarning(UserWarning):
     """The sparsity mask left the sampled network disconnected."""
 
 
+def _component_count(adjacent: np.ndarray) -> int:
+    """Connected components of the undirected graph with the symmetric
+    boolean adjacency matrix given, by one frontier search per component."""
+    unseen = np.ones(adjacent.shape[0], dtype=bool)
+    count = 0
+    while unseen.any():
+        count += 1
+        frontier = np.arange(unseen.size) == np.argmax(unseen)
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = adjacent[frontier].any(axis=0) & unseen
+    return count
+
+
 def _draw_weights(rng: np.random.Generator, means: np.ndarray, distribution: EdgeDistribution) -> np.ndarray:
     fam = distribution.family
     if fam is Family.NORMAL:
@@ -353,9 +366,7 @@ def sample_adjacency(
     a.T[upper] = values
     graph = WeightedGraph(a)
     if spec.sparsity is not None:
-        from scipy.sparse.csgraph import connected_components
-
-        n_components = connected_components(a != 0.0, directed=False)[0]
+        n_components = _component_count(a != 0.0)
         if n_components > 1:
             warnings.warn(
                 f"sparsity mask left {n_components} components",
@@ -367,38 +378,3 @@ def sample_adjacency(
         memberships=spec.memberships,
     )
     return graph, truth
-
-
-def noise_diagnostics(spec: GeneratorSpec) -> dict:
-    """Per-family deviation and variance diagnostics.
-
-    Reports an upper bound on the largest |weight - mean| (None when
-    the family is unbounded), the variance-scale bound gamma such that
-    max Var(weight) <= gamma * rho, and whether the family-specific
-    sparsity condition gamma * rho * n >= tau^2 * log(n) holds (None
-    when tau is unbounded). No generator operation consumes these; they
-    exist for reporting alongside experiment output.
-    """
-    fam = spec.distribution.family
-    rho, n = spec.rho, spec.n
-    omega_max = float(np.abs(population_adjacency(spec)).max())
-    if fam is Family.NORMAL:
-        tau, gamma = None, spec.distribution.sigma2 / rho
-    elif fam is Family.BERNOULLI:
-        tau, gamma = 1.0, 1.0
-    elif fam is Family.POISSON:
-        tau, gamma = None, omega_max / rho
-    elif fam is Family.UNIFORM:
-        tau, gamma = 2.0 * rho, rho / 3.0
-    elif fam is Family.SIGNED:
-        tau, gamma = 2.0, 1.0 / rho
-    else:  # point mass: no noise
-        tau, gamma = 0.0, 0.0
-    condition = None
-    if tau is not None:
-        condition = bool(gamma * rho * n >= tau**2 * log(n))
-    return {
-        "tau_bound": tau,
-        "gamma_bound": gamma,
-        "sparsity_condition": condition,
-    }

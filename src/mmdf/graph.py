@@ -97,15 +97,6 @@ class WeightedGraph:
         deg = np.count_nonzero(self.weights, axis=1)
         return [int(i) for i in np.flatnonzero(deg == 0)]
 
-    def permuted(self, order: np.ndarray) -> "WeightedGraph":
-        """Relabel nodes: node i of the result is node order[i] of self."""
-        order = np.asarray(order)
-        w = self.weights[np.ix_(order, order)]
-        labels = None
-        if self.node_labels is not None:
-            labels = tuple(self.node_labels[i] for i in order)
-        return WeightedGraph(w, labels)
-
 
 @dataclass(frozen=True)
 class SignSplit:

@@ -25,7 +25,7 @@ from .dfsp import EstimationError, dfsp, harden
 from .generator import GeneratorSpec, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
-from .modularity import DEFAULT_K_MAX, estimate_k, fuzzy_weighted_modularity
+from .modularity import DEFAULT_K_MAX, KScanResult, estimate_k, fuzzy_weighted_modularity
 from .spectral import top_k_eigen
 
 __all__ = [
@@ -317,7 +317,7 @@ class DetectReport:
     eta_pure: float
     eigenvalue_magnitudes: tuple[float, ...]  # top k+1, for the spectral gap
     spectral_gap: float
-    scan: object | None = None
+    scan: KScanResult | None = None
 
 
 def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None = None) -> DetectReport:

@@ -134,7 +134,6 @@ class KScanResult:
 def estimate_k(
     g: WeightedGraph,
     k_max: int | None = None,
-    stop_when_decreasing: bool = False,
     eigen: TopKEigen | None = None,
 ) -> KScanResult:
     """Pick the community count maximizing fuzzy weighted modularity.
@@ -142,10 +141,9 @@ def estimate_k(
     Runs the membership estimator for k = 1..k_max, scores each result,
     and returns the k of the largest score (smallest k on ties).
     Estimation failures at individual k are recorded on the curve and
-    skipped; only if every k fails is an EstimationError raised. With
-    stop_when_decreasing the scan stops at the first k whose score does
-    not improve on its predecessor's; the default scans the full range
-    because score curves are routinely non-monotone.
+    skipped; only if every k fails is an EstimationError raised. The
+    full range is scanned because score curves are routinely
+    non-monotone.
 
     Every k is fitted from one spectrum: eigen, which must be
     top_k_eigen(g.weights, K) for some K >= k_max, or else a single
@@ -159,7 +157,6 @@ def estimate_k(
     if eigen is None:
         eigen = top_k_eigen(g.weights, k_max)
     points: list[KScanPoint] = []
-    previous_q: float | None = None
     for k in range(1, k_max + 1):
         try:
             report = dfsp(eigen, k)
@@ -168,9 +165,6 @@ def estimate_k(
             continue
         value = fuzzy_weighted_modularity(g, report.memberships)
         points.append(KScanPoint(k=k, modularity=value, report=report))
-        if stop_when_decreasing and previous_q is not None and value.q <= previous_q:
-            break
-        previous_q = value.q
     successes = [p for p in points if p.ok]
     if not successes:
         raise EstimationError("scan", f"estimation failed for every k in 1..{k_max}")

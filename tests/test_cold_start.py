@@ -1,11 +1,11 @@
-"""Cold start: importing mmdf and running its common paths loads no scipy.
+"""Cold start: importing mmdf and running it loads no scipy.
 
-scipy is needed only for sparsity-thinned sampling (the connectivity
-check) and for matching more than eight communities; importing it costs
-more than every CLI command on the bundled networks. A fresh interpreter
-imports the package and the CLI, runs detect, scan-k and datasets and a
-non-sparse simulation with the count scan, and then lists the heavy
-modules that were loaded.
+scipy is a test-only dependency, and importing it costs more than every
+CLI command on the bundled networks. A fresh interpreter imports the
+package and the CLI, runs detect, scan-k and datasets, a simulation
+with the count scan, sparsity-thinned sampling (disconnected and not)
+and the error metrics at k=9, and then lists the heavy modules that
+were loaded.
 """
 
 import json
@@ -17,10 +17,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import json, sys
+import json, sys, warnings
+import numpy as np
 import mmdf, mmdf.cli
 from mmdf.cli import main
-from mmdf.generator import Family
+from mmdf.generator import DisconnectedSampleWarning, Family, sample_adjacency
 from mmdf.harness import ExperimentConfig, run_simulation
 from conftest import standard_spec
 
@@ -40,6 +41,14 @@ config = ExperimentConfig(
     k_scan_max=4,
 )
 run_simulation(config)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for sparsity in (0.0, 0.5):
+        sample_adjacency(standard_spec(Family.NORMAL, rho=5.0, n=40, pure=8, sparsity=sparsity))
+assert [w.category for w in caught] == [DisconnectedSampleWarning]
+rng = np.random.default_rng(0)
+mmdf.membership_errors(rng.dirichlet(np.ones(9), size=30), rng.dirichlet(np.ones(9), size=30))
+mmdf.mislabel_count(rng.integers(0, 9, size=30), rng.integers(0, 9, size=30))
 heavy = [m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process"]
 print(json.dumps(sorted(heavy)))
 """

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from mmdf.generator import (
     ConnectivityError,
@@ -9,7 +11,7 @@ from mmdf.generator import (
     GeneratorSpec,
     build_membership,
     check_connectivity,
-    noise_diagnostics,
+    _component_count,
     population_adjacency,
     sample_adjacency,
 )
@@ -259,7 +261,7 @@ class TestSampling:
 class TestSparsityMask:
     def test_zero_keeps_nothing(self):
         spec = standard_spec(Family.NORMAL, rho=5.0, n=20, pure=4, sparsity=0.0)
-        with pytest.warns(DisconnectedSampleWarning):
+        with pytest.warns(DisconnectedSampleWarning, match="left 20 components"):
             g, _ = sample_adjacency(spec)
         assert np.all(g.weights == 0)
 
@@ -269,6 +271,20 @@ class TestSparsityMask:
         g_base, _ = sample_adjacency(base)
         g_masked, _ = sample_adjacency(masked)
         assert np.array_equal(g_base.weights, g_masked.weights)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 0.3))
+    def test_component_count_matches_scipy(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        adjacent = upper | upper.T
+        assert _component_count(adjacent) == connected_components(adjacent, directed=False)[0]
+
+    def test_component_count_edge_cases(self):
+        assert _component_count(np.zeros((1, 1), dtype=bool)) == 1
+        assert _component_count(np.zeros((6, 6), dtype=bool)) == 6
+        path = np.eye(6, k=1, dtype=bool)
+        assert _component_count(path | path.T) == 1
 
     def test_survival_fraction(self):
         p = 0.6
@@ -283,26 +299,6 @@ class TestSparsityMask:
     def test_mask_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="sparsity"):
             standard_spec(Family.NORMAL, rho=5.0, n=20, pure=4, sparsity=1.5)
-
-
-class TestDiagnostics:
-    def test_family_formulas(self):
-        d = noise_diagnostics(standard_spec(Family.NORMAL, rho=4.0, n=20, pure=4))
-        assert d["tau_bound"] is None
-        assert d["gamma_bound"] == pytest.approx(2.0 / 4.0)
-        assert d["sparsity_condition"] is None
-
-        d = noise_diagnostics(standard_spec(Family.BERNOULLI, rho=0.5, n=20, pure=4))
-        assert (d["tau_bound"], d["gamma_bound"]) == (1.0, 1.0)
-        assert d["sparsity_condition"] is True  # rho * n >= log n here
-
-        d = noise_diagnostics(standard_spec(Family.SIGNED, rho=0.5, n=20, pure=4))
-        assert d["tau_bound"] == 2.0
-        assert d["gamma_bound"] == pytest.approx(2.0)
-
-        d = noise_diagnostics(standard_spec(Family.UNIFORM, rho=6.0, n=20, pure=4))
-        assert d["tau_bound"] == pytest.approx(12.0)
-        assert d["gamma_bound"] == pytest.approx(2.0)
 
 
 def test_spec_round_trips_through_dict():

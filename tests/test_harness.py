@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mmdf
 from mmdf.cli import main
 from mmdf.generator import Family
 from mmdf.harness import ExperimentConfig, run_simulation
@@ -91,6 +92,11 @@ def write_config(tmp_path, family=Family.POINT_MASS, values=(2.0,)):
 
 
 class TestCli:
+    def test_version_from_source_tree(self):
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert mmdf.__version__ in result.output
+
     def test_simulate_roundtrip_and_rerun_identical(self, tmp_path):
         runner = CliRunner()
         config = write_config(tmp_path)

@@ -2,8 +2,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mmdf.metrics import (
+    _min_cost_permutation,
     accuracy_rate,
     membership_errors,
     mislabel_count,
@@ -22,6 +25,60 @@ def exhaustive_errors(estimate: np.ndarray, truth: np.ndarray) -> tuple[float, f
         best_l1 = min(best_l1, np.abs(diff).sum() / n)
         best_fro = min(best_fro, np.linalg.norm(diff))
     return best_l1, best_fro / np.linalg.norm(truth)
+
+
+def brute_force_cost(cost: np.ndarray) -> float:
+    """Oracle: the smallest total over all k! column permutations."""
+    k = cost.shape[0]
+    return min(sum(cost[a, perm[a]] for a in range(k)) for perm in permutations(range(k)))
+
+
+def random_cost(seed: int, k: int, tied: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if tied:  # a few small integers, so many permutations tie
+        return rng.integers(0, 3, size=(k, k)).astype(float)
+    return rng.normal(size=(k, k))
+
+
+class TestAssignmentSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
+    def test_cost_equals_brute_force_up_to_k7(self, seed, k, tied):
+        cost = random_cost(seed, k, tied)
+        total, perm = _min_cost_permutation(cost)
+        assert sorted(perm) == list(range(k))
+        assert total == sum(cost[a, perm[a]] for a in range(k))
+        assert total == pytest.approx(brute_force_cost(cost), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 30), st.booleans())
+    def test_cost_equals_linear_sum_assignment(self, seed, k, tied):
+        cost = random_cost(seed, k, tied)
+        rows, cols = linear_sum_assignment(cost)
+        assert _min_cost_permutation(cost)[0] == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+    def test_empty_and_single(self):
+        assert _min_cost_permutation(np.zeros((0, 0))) == (0.0, ())
+        assert _min_cost_permutation(np.array([[2.5]])) == (2.5, (0,))
+
+    def test_nonfinite_cost_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            _min_cost_permutation(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    def test_tie_rule(self):
+        # equal costs everywhere give the identity
+        assert _min_cost_permutation(np.full((5, 5), 0.25)) == (1.25, (0, 1, 2, 3, 4))
+        # rows are inserted in order along shortest augmenting paths, so
+        # (1, 2, 0), the lexicographically first of the tied minimizers,
+        # is not the one reported
+        cost = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        assert _min_cost_permutation(cost) == (1.0, (2, 1, 0))
+        assert brute_force_cost(cost) == 1.0
+        assert sum(cost[a, (1, 2, 0)[a]] for a in range(3)) == 1.0
+        # identical estimate columns: the tied matchings report the identity
+        truth = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        estimate = np.full((3, 2), 0.5)
+        assert membership_errors(estimate, truth).permutation == (0, 1)
 
 
 class TestMembershipErrors:
@@ -49,20 +106,12 @@ class TestMembershipErrors:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_assignment_equals_exhaustive_up_to_k6(self, rng, k):
-        from mmdf import metrics
-
         estimate = rng.dirichlet(np.ones(k), size=15)
         truth = rng.dirichlet(np.ones(k), size=15)
         err = membership_errors(estimate, truth)
-        # force the linear-assignment path and compare
-        orig = metrics._EXHAUSTIVE_LIMIT
-        metrics._EXHAUSTIVE_LIMIT = 0
-        try:
-            assigned = membership_errors(estimate, truth)
-        finally:
-            metrics._EXHAUSTIVE_LIMIT = orig
-        assert assigned.hamming == pytest.approx(err.hamming, abs=1e-12)
-        assert assigned.relative == pytest.approx(err.relative, abs=1e-12)
+        oracle_l1, oracle_rel = exhaustive_errors(estimate, truth)
+        assert err.hamming == pytest.approx(oracle_l1, abs=1e-12)
+        assert err.relative == pytest.approx(oracle_rel, abs=1e-12)
 
     def test_invariant_under_row_permutation(self, rng):
         estimate = rng.dirichlet(np.ones(4), size=12)
@@ -112,6 +161,19 @@ class TestMislabelCount:
         best = min(
             int(np.sum(np.array([perm[x] for x in est]) != truth))
             for perm in permutations(range(3))
+        )
+        assert mislabel_count(est, truth) == best
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40))
+    def test_matches_brute_force(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        truth = rng.integers(0, k, size=n)
+        est = rng.integers(0, k, size=n)
+        labels = int(max(est.max(), truth.max())) + 1
+        best = min(
+            int(np.sum(np.array(perm)[est] != truth))
+            for perm in permutations(range(labels))
         )
         assert mislabel_count(est, truth) == best
 

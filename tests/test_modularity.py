@@ -305,11 +305,3 @@ class TestEstimateK:
 
         with pytest.raises(EstimationError, match="every k"):
             estimate_k(WeightedGraph(np.zeros((5, 5))), k_max=3)
-
-    def test_stop_when_decreasing(self):
-        spec = standard_spec(Family.BERNOULLI, rho=0.9, n=90, pure=18, seed=4)
-        graph, _ = sample_adjacency(spec)
-        scan = estimate_k(graph, k_max=8, stop_when_decreasing=True)
-        ks = [p.k for p in scan.curve]
-        assert ks == list(range(1, len(ks) + 1))
-        assert len(ks) <= 8
