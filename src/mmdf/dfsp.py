@@ -30,6 +30,10 @@ _MAX_CORNER_CONDITION = 1e12
 # the estimator presumes a rank-k mean structure; a numerically zero
 # k-th eigenvalue means no such structure exists at this k
 _RANK_TOL = 1e-12
+# |lambda_k| - |lambda_{k+1}| at or below this fraction of |lambda_1|
+# is a tie: the k-dimensional eigenspace is not identified. Rounding
+# gives ~1e-13; the smallest gap measured on sampled graphs was 3.8e-5
+_TIE_TOL = 1e-9
 
 
 class EstimationError(RuntimeError):
@@ -122,11 +126,14 @@ def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
         k: number of communities, 1 <= k <= n (and k <= the number of
             pairs of a passed spectrum).
 
-    Raises EstimationError if vertex hunting terminates early or the
-    corner matrix is numerically singular; both indicate that k does not
-    fit the input. Every returned membership row is a valid probability
-    vector; rows that clipped to zero become uniform and are counted in
-    the report.
+    Raises EstimationError if the k-th eigenvalue is numerically zero,
+    if k >= 2 cuts through eigenvalues of equal magnitude (the top-k
+    eigenspace is then not unique, and memberships fitted from it would
+    depend on the LAPACK build), if vertex hunting terminates early, or
+    if the corner matrix is numerically singular; each indicates that k
+    does not fit the input. Every returned membership row is a valid
+    probability vector; rows that clipped to zero become uniform and are
+    counted in the report.
     """
     eigen = (a if isinstance(a, TopKEigen) else top_k_eigen(a, k)).head(k)
     if abs(eigen.values[k - 1]) <= _RANK_TOL * max(1.0, abs(eigen.values[0])):
@@ -134,6 +141,14 @@ def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
             "eigendecomposition",
             f"input has no rank-{k} structure (eigenvalue {k} is "
             f"{eigen.values[k - 1]:.3g})",
+        )
+    kth = abs(eigen.values[k - 1])
+    if k >= 2 and kth - eigen.next_magnitude <= _TIE_TOL * abs(eigen.values[0]):
+        raise EstimationError(
+            "eigendecomposition",
+            f"k={k} cuts through eigenvalues of equal magnitude "
+            f"(|eigenvalue {k}| = {kth:.6g}, |eigenvalue {k + 1}| = "
+            f"{eigen.next_magnitude:.6g}); the top-{k} eigenspace is not identified",
         )
     memberships, vertices, clipped, degenerate = memberships_from_vectors(eigen.vectors)
     return DfspReport(

@@ -86,12 +86,6 @@ class WeightedGraph:
         shift = 1 - int(np.frexp(peak)[1])
         return sign_split(self if shift == 0 else WeightedGraph(np.ldexp(w, shift)))
 
-    @property
-    def edge_count(self) -> int:
-        """Number of unordered node pairs with nonzero weight."""
-        iu = np.triu_indices(self.n, k=1)
-        return int(np.count_nonzero(self.weights[iu]))
-
     def isolated_nodes(self) -> list[int]:
         """Indices of nodes with no incident nonzero weight."""
         deg = np.count_nonzero(self.weights, axis=1)

@@ -172,6 +172,56 @@ class TestOutputContract:
             memberships_from_vectors(vectors)
 
 
+def cycle(n):
+    w = np.zeros((n, n))
+    idx = np.arange(n)
+    w[idx, (idx + 1) % n] = w[(idx + 1) % n, idx] = 1.0
+    return w
+
+
+class TestTiedMagnitudes:
+    """A k that cuts through eigenvalues of equal |λ| leaves the top-k
+    eigenspace unidentified, so the fit is refused, not returned."""
+
+    def test_two_disjoint_edges(self):
+        # |λ| = 1, 1, 1, 1
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+        with pytest.raises(EstimationError, match="equal magnitude") as exc:
+            dfsp(w, 2)
+        assert exc.value.stage == "eigendecomposition"
+
+    def test_eight_cycle(self):
+        # |λ| = 2, 2, √2, √2, √2, √2, 0, 0: k = 2 and k = 6 fall in gaps
+        w = cycle(8)
+        for k in (3, 4, 5):
+            with pytest.raises(EstimationError, match="equal magnitude"):
+                dfsp(w, k)
+        assert dfsp(w, 2).memberships.shape == (8, 2)
+
+    def test_k1_is_exempt(self):
+        # one community: the memberships are all ones whatever the vector
+        report = dfsp(cycle(8), 1)
+        assert np.array_equal(report.memberships, np.ones((8, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.floats(0.2, 1.0))
+    def test_bipartite_graphs_refuse_every_odd_k(self, seed, p, q, density):
+        # a bipartite spectrum pairs every λ with -λ, so each odd k >= 3
+        # either splits such a pair or has no rank-k structure
+        from mmdf.spectral import top_k_eigen
+
+        rng = np.random.default_rng(seed)
+        b = (rng.random((p, q)) < density) * rng.uniform(0.5, 2.0, size=(p, q))
+        n = p + q
+        w = np.block([[np.zeros((p, p)), b], [b.T, np.zeros((q, q))]])
+        spectrum = top_k_eigen(w, n)
+        for k in range(3, n, 2):
+            with pytest.raises(EstimationError) as exc:
+                dfsp(spectrum, k)
+            assert exc.value.stage == "eigendecomposition"
+
+
 class TestHarden:
     def test_pure_row(self):
         assert harden(np.array([[1.0, 0.0, 0.0]]))[0] == 0

@@ -195,6 +195,20 @@ class TestCli:
         assert result.exit_code == 4
         assert "eigendecomposition" in result.output or "estimation" in result.output
 
+    @pytest.mark.parametrize("edges, k", [
+        ("a b\nc d\n", 2),  # two disjoint edges: |λ| = 1, 1, 1, 1
+        ("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)), 3),  # 8-cycle: 2, 2, √2 x 4, 0, 0
+    ], ids=["two-edges", "8-cycle"])
+    def test_detect_k_cutting_through_tied_magnitudes_exits_4(self, tmp_path, edges, k):
+        graph = tmp_path / "tied.edges"
+        graph.write_text(edges)
+        result = CliRunner().invoke(main, ["detect", str(graph), "--k", str(k), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "'eigendecomposition'" in result.output
+        assert "equal magnitude" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_detect_non_finite_spectrum_exits_2(self, tmp_path):
         # finite weights whose eigenvalues exceed the float64 range
         graph = tmp_path / "huge.edges"

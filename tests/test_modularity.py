@@ -300,6 +300,18 @@ class TestEstimateK:
         # beats the negative k=2 score
         assert scan.best_k == 1
 
+    def test_k_cutting_through_tied_magnitudes_is_a_recorded_failure(self):
+        # 8-cycle: |λ| = 2, 2, √2, √2, √2, √2, 0, 0
+        w = np.zeros((8, 8))
+        idx = np.arange(8)
+        w[idx, (idx + 1) % 8] = w[(idx + 1) % 8, idx] = 1.0
+        scan = estimate_k(WeightedGraph(w), k_max=6)
+        assert [p.ok for p in scan.curve] == [True, True, False, False, False, True]
+        for p in scan.curve[2:5]:
+            assert p.failure.startswith("eigendecomposition: ")
+            assert "equal magnitude" in p.failure
+        assert scan.summary()["failures"].keys() == {3, 4, 5}
+
     def test_all_k_failing_raises(self):
         from mmdf.dfsp import EstimationError
 

@@ -1,9 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from mmdf import spectral
 from mmdf.spectral import EarlyStopWarning, successive_projection, top_k_eigen
+
+# smallest order that takes the partial LAPACK solve
+N_PARTIAL = spectral._PARTIAL_MIN_N
 
 
 def full_decomposition_oracle(m: np.ndarray, k: int):
@@ -115,15 +121,202 @@ class TestTopKEigen:
         head = full.head(k)
         assert np.array_equal(head.values, direct.values)
         assert np.array_equal(head.vectors, direct.vectors)
+        assert head.next_magnitude == direct.next_magnitude
         assert head.vectors.shape == (n, k)
         assert not head.values.flags.writeable
         assert not head.vectors.flags.writeable
+
+    def test_next_magnitude_is_the_first_pair_left_out(self):
+        full = top_k_eigen(np.diag([3.0, 1.0, -2.0]), 3)
+        assert full.next_magnitude == 0.0
+        assert top_k_eigen(np.diag([3.0, 1.0, -2.0]), 1).next_magnitude == 2.0
+        assert full.head(1).next_magnitude == 2.0
+        assert full.head(2).next_magnitude == 1.0
+        assert full.head(3).next_magnitude == 0.0
 
     def test_head_rejects_bad_k(self):
         full = top_k_eigen(np.diag([3.0, 1.0, -2.0]), 2)
         for k in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
                 full.head(k)
+
+
+@contextmanager
+def solver(name: str):
+    """Run top_k_eigen's partial LAPACK solve (n >= N_PARTIAL), or force
+    its np.linalg.eigh fallback by hiding the LAPACK binding."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "eigh":
+            mp.setattr(spectral, "_lapack", lambda: None)
+        elif spectral._lapack() is None:
+            pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstemr/dormtr")
+        yield
+
+
+def random_symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return m + m.T
+
+
+def repeated_blocks(rng, n):
+    # every eigenvalue of the block has multiplicity `copies`
+    copies = int(rng.integers(2, 6))
+    b = random_symmetric(rng, -(-n // copies))
+    return np.kron(np.eye(copies), b)
+
+
+def rotated_blocks(rng, n):
+    # the same multiplicities, but a tridiagonal form that does not split
+    # into the blocks, so chunk boundaries must keep each cluster whole
+    m = repeated_blocks(rng, n)
+    q, _ = np.linalg.qr(rng.normal(size=m.shape))
+    m = q @ m @ q.T
+    return 0.5 * (m + m.T)
+
+
+def bipartite(rng, n):
+    # the spectrum is symmetric: +-sigma for every singular value of b
+    p = int(rng.integers(n // 4, n // 2 + 1))
+    b = (rng.random((p, n - p)) < 0.1) * rng.integers(1, 4, size=(p, n - p))
+    return np.block([[np.zeros((p, p)), b], [b.T, np.zeros((n - p, n - p))]]).astype(float)
+
+
+def check_contract(m, k_max, k):
+    """The top_k_eigen contract on m: bitwise prefix, agreement with a
+    full scipy decomposition, orthonormal columns and small residuals."""
+    n = len(m)
+    full = top_k_eigen(m, k_max)
+    direct = top_k_eigen(m, k)
+    head = full.head(k)
+    assert head.values.tobytes() == direct.values.tobytes()
+    assert head.vectors.tobytes() == np.ascontiguousarray(direct.vectors).tobytes()
+    assert head.next_magnitude == direct.next_magnitude
+
+    vals, vecs = scipy.linalg.eigh(m)
+    order = np.argsort(-np.abs(vals), kind="stable")
+    mags = np.abs(vals[order])
+    radius = max(1.0, float(mags[0]))
+    assert np.abs(np.abs(full.values) - mags[:k_max]).max() <= 1e-10 * radius
+    assert abs(full.next_magnitude - (mags[k_max] if k_max < n else 0.0)) <= 1e-10 * radius
+    # pairs are unique (up to the fixed sign) only away from ties in |λ|,
+    # where even the order of -x and x is up to rounding: compare the
+    # spectral projector and the truncated matrix at each cut in a gap
+    for j in range(1, k_max + 1):
+        if j == n or mags[j - 1] - mags[j] > 1e-6 * radius:
+            got, want = full.vectors[:, :j], vecs[:, order[:j]]
+            assert np.abs(got @ got.T - want @ want.T).max() <= 1e-10
+            got_m = (got * full.values[:j]) @ got.T
+            want_m = (want * vals[order[:j]]) @ want.T
+            assert np.abs(got_m - want_m).max() <= 1e-10 * radius
+    v = full.vectors
+    assert np.abs(v.T @ v - np.eye(k_max)).max() <= 1e-10
+    assert np.linalg.norm(m @ v - v * full.values) <= 1e-12 * n * radius
+    lead = np.argmax(np.abs(v), axis=0)
+    assert (v[lead, np.arange(k_max)] > 0).all()
+
+
+@pytest.mark.parametrize("name", ["partial", "eigh"])
+class TestLargeMatrices:
+    """The contract at n >= N_PARTIAL, on the partial LAPACK solve and on
+    the np.linalg.eigh fallback that runs when numpy's LAPACK lacks it."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
+           st.sampled_from([random_symmetric, repeated_blocks, rotated_blocks, bipartite]), st.data())
+    def test_contract(self, name, seed, n, family, data):
+        rng = np.random.default_rng(seed)
+        m = family(rng, n)
+        k_max = data.draw(st.integers(1, 24))
+        k = data.draw(st.integers(1, k_max))
+        with solver(name):
+            check_contract(m, k_max, k)
+
+    def test_every_pair(self, name, rng):
+        # k = n reaches every chunk, including the middle of the spectrum
+        with solver(name):
+            check_contract(bipartite(rng, N_PARTIAL + 3), N_PARTIAL + 3, 5)
+
+    def test_clusters_straddling_chunk_boundaries(self, name, rng):
+        # multiplicity 3 in a tridiagonal form that does not split: index
+        # 8 from either end sits inside a cluster
+        b = random_symmetric(rng, -(-N_PARTIAL // 3))
+        m = np.kron(np.eye(3), b)
+        q, _ = np.linalg.qr(rng.normal(size=m.shape))
+        m = q @ m @ q.T
+        with solver(name):
+            check_contract(0.5 * (m + m.T), 20, 7)
+
+    def test_zero_matrix(self, name):
+        # one cluster holds the whole spectrum
+        with solver(name):
+            check_contract(np.zeros((N_PARTIAL, N_PARTIAL)), 5, 2)
+
+    def test_exact_input_near_float64_limit(self, name, rng):
+        # at peak 1.2e308, m + m.T overflows while every eigenvalue is finite
+        n = N_PARTIAL
+        m = rng.normal(size=(n, n))
+        m = 0.01 * (m + m.T) + np.diag(np.linspace(1.4, -1.2, n))
+        huge = m * 2.0**1023
+        assert np.abs(huge).max() > 1.2e308
+        with solver(name):
+            res = top_k_eigen(huge, 4)
+            unit = top_k_eigen(m, 4)
+        assert np.isfinite(res.values).all()
+        assert np.abs(res.values * 2.0**-1023 - unit.values).max() <= 1e-12
+        assert np.abs(res.vectors - unit.vectors).max() <= 1e-10
+        if name == "partial":
+            # a power-of-two rescaling is exact: same bits as decomposing m
+            assert res.values.tobytes() == (unit.values * 2.0**1023).tobytes()
+            assert res.vectors.tobytes() == unit.vectors.tobytes()
+
+    def test_rejects_non_finite_spectrum(self, name):
+        m = np.full((N_PARTIAL, N_PARTIAL), 1.5e308)
+        np.fill_diagonal(m, 0.0)
+        with solver(name), pytest.raises(ValueError, match="non-finite"):
+            top_k_eigen(m, 2)
+
+    def test_rejects_non_finite_input(self, name):
+        m = np.zeros((N_PARTIAL, N_PARTIAL))
+        m[3, 5] = m[5, 3] = np.nan
+        with solver(name), pytest.raises(ValueError):
+            top_k_eigen(m, 2)
+
+
+def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
+    # the solver depends on n (and the numpy build), never on k
+    if spectral._lapack() is None:
+        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstemr/dormtr")
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    for n in (N_PARTIAL - 1, N_PARTIAL):
+        for k in (1, n):
+            top_k_eigen(random_symmetric(rng, n), k)
+    assert calls == [N_PARTIAL - 1, N_PARTIAL - 1]
+
+
+def test_partial_solve_binds_on_scipy_openblas64():
+    # numpy wheels link the 64-bit-integer scipy-openblas; there the
+    # partial solve must not silently fall back to eigh
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
+        pytest.skip(f"numpy links {lapack.get('name')}, not scipy-openblas64")
+    assert spectral._lapack() is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.integers(1, 6)), min_size=1, max_size=60))
+def test_chunk_bounds_partition_without_splitting_clusters(clusters):
+    # eigenvalues with multiplicities, ascending as dsterf returns them
+    vals = np.sort(np.repeat([v for v, _ in clusters], [r for _, r in clusters]))
+    b = spectral._chunk_bounds(vals)
+    n = len(vals)
+    assert b[0] == 0 and b[-1] == n and (np.diff(b) > 0).all()
+    tol = spectral._CLUSTER_TOL * np.abs(vals).max()
+    assert all(vals[c] - vals[c - 1] > tol for c in b[1:-1])
+    # chunks away from the clusters hold _CHUNK indices from either end
+    if np.diff(vals).min(initial=np.inf) > tol and n >= 4 * spectral._CHUNK:
+        assert b[1] == spectral._CHUNK and b[-2] == n - spectral._CHUNK
 
 
 class TestSuccessiveProjection:
