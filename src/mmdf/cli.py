@@ -70,7 +70,11 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
         config = replace(config, profile=profile, replications=PROFILES[profile])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_simulation(config, workers=workers)
+    try:
+        report = run_simulation(config, workers=workers)
+    except ValueError as exc:
+        # sampling or decomposition rejected a draw (weights near the float64 limit)
+        _fail(EXIT_CONFIG, str(exc))
     report.write_csv(out / "sweep.csv")
     report.write_json(out / "sweep.json")
     click.echo(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")

@@ -27,8 +27,9 @@ __all__ = [
 # corner matrices above this condition number are rejected: they signal
 # a bad community count or degenerate input, which callers must observe
 _MAX_CORNER_CONDITION = 1e12
-# the estimator presumes a rank-k mean structure; a numerically zero
-# k-th eigenvalue means no such structure exists at this k
+# the estimator presumes a rank-k mean structure; a k-th eigenvalue at
+# or below this fraction of |lambda_1| (or an all-zero spectrum) means
+# no such structure exists at this k
 _RANK_TOL = 1e-12
 # |lambda_k| - |lambda_{k+1}| at or below this fraction of |lambda_1|
 # is a tie: the k-dimensional eigenspace is not identified. Rounding
@@ -126,7 +127,9 @@ def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
         k: number of communities, 1 <= k <= n (and k <= the number of
             pairs of a passed spectrum).
 
-    Raises EstimationError if the k-th eigenvalue is numerically zero,
+    Raises EstimationError if the k-th eigenvalue is numerically zero
+    (at most 1e-12 of the first in magnitude, so the check does not
+    depend on the scale of the input),
     if k >= 2 cuts through eigenvalues of equal magnitude (the top-k
     eigenspace is then not unique, and memberships fitted from it would
     depend on the LAPACK build), if vertex hunting terminates early, or
@@ -136,7 +139,7 @@ def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
     counted in the report.
     """
     eigen = (a if isinstance(a, TopKEigen) else top_k_eigen(a, k)).head(k)
-    if abs(eigen.values[k - 1]) <= _RANK_TOL * max(1.0, abs(eigen.values[0])):
+    if abs(eigen.values[k - 1]) <= _RANK_TOL * abs(eigen.values[0]):
         raise EstimationError(
             "eigendecomposition",
             f"input has no rank-{k} structure (eigenvalue {k} is "

@@ -276,10 +276,12 @@ def _check_mean_domain(omega: np.ndarray, distribution: EdgeDistribution) -> Non
         )
 
 
-def _block_mean(spec: GeneratorSpec) -> np.ndarray:
-    # rho * Pi P Pi' as computed; symmetric only up to rounding
+def _block_mean(spec: GeneratorSpec, scale: float = 1.0) -> np.ndarray:
+    # scale * rho * Pi P Pi' as computed; symmetric only up to rounding.
+    # A power-of-two scale is exact, so scale 0.5 gives bitwise half the
+    # mean without overflowing where the mean is near the float64 limit
     m = spec.memberships
-    return spec.rho * m @ spec.connectivity.entries @ m.T
+    return scale * spec.rho * m @ spec.connectivity.entries @ m.T
 
 
 def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
@@ -288,8 +290,8 @@ def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
     This is the rank-k expectation object; only sampled networks zero
     their diagonal.
     """
-    omega = _block_mean(spec)
-    omega = 0.5 * (omega + omega.T)
+    half = _block_mean(spec, 0.5)
+    omega = half + half.T
     omega.setflags(write=False)
     return omega
 
@@ -349,12 +351,12 @@ def sample_adjacency(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    omega = _block_mean(spec)
+    half = _block_mean(spec, 0.5)
     n = spec.n
     # strict upper triangle in row-major order; the means are
     # population_adjacency's, averaged only where drawn
     upper = np.arange(n)[:, None] < np.arange(n)
-    means = 0.5 * (omega[upper] + omega.T[upper])
+    means = half[upper] + half.T[upper]
     values = _draw_weights(rng, means, spec.distribution)
     if spec.sparsity is not None:
         mask = rng.random(values.shape) < spec.sparsity

@@ -8,20 +8,25 @@ runs depends on the matrix order n and the numpy build, never on k:
   below, a full np.linalg.eigh, truncated;
 - otherwise a partial solve in numpy's own LAPACK (the scipy-openblas64
   library that np.linalg already loaded, called through ctypes): one
-  reduction to tridiagonal form (dsytrd), every eigenvalue from it
-  (dsterf), and MRRR eigenvectors (dstemr, Dhillon, Parlett & Voemel
-  2006) with their back-transform (dormtr) only for the few chunks of
-  the spectrum that hold the selected pairs. At n = 800 on 2 cores it
-  takes 62-66 ms where eigh takes 106-109 ms.
+  reduction to tridiagonal form (dsytrd), then MRRR eigenvectors (dstemr,
+  Dhillon, Parlett & Voemel 2006) with their back-transform (dormtr)
+  only for the chunks of the spectrum that hold the selected pairs.
+  Below n = 320 every eigenvalue comes from one pass (dsterf). From
+  n = 320 no pass over the full spectrum runs: chunks open from the two
+  ends of the spectrum, as many as the k + 1 largest magnitudes need,
+  each giving its eigenvalues with its eigenvectors, and chunk
+  boundaries are settled by Sturm-sequence bisection of the eigenvalues
+  on either side of them (dstebz, Kahan 1966). At n = 800 on 2 cores it
+  takes 43-49 ms where eigh takes 106-109 ms.
 
 The ordering and sign convention of top_k_eigen do not depend on k, so
 on either path top_k_eigen(m, k) is bitwise the first k pairs of
-top_k_eigen(m, K) for any K >= k. (The partial solve's eigenvectors
+top_k_eigen(m, K) for any K >= k. (The partial solve's eigenpairs
 depend on the index range requested from dstemr and on the column count
-given to dormtr, so it always computes whole chunks whose boundaries
-depend on the spectrum alone.) Callers that fit several community
-counts to one graph decompose once at the largest count and take
-prefixes with TopKEigen.head.
+given to dormtr, so it always computes whole chunks, whose boundaries
+and opening order depend on the matrix alone.) Callers that fit several
+community counts to one graph decompose once at the largest count and
+take prefixes with TopKEigen.head.
 """
 
 from __future__ import annotations
@@ -49,11 +54,19 @@ _SP_RESIDUAL_TOL = 1e-12
 # crossover lies between n = 112 (partial solve x1.14 of eigh's time)
 # and n = 160 (x0.83); below n = 96 eigh is clearly faster
 _PARTIAL_MIN_N = 128
+# smallest order at which the partial solve bisects the few eigenvalues
+# it needs instead of computing all n (dsterf, O(n^2)). On 2 cores, on
+# nonnegative draws at k = 3, whose (k+1)-th magnitude sits at the other
+# end, bisection costs x1.16 of dsterf's time at n = 192, x1.00 at 320
+# and x0.92 at 384; on signed draws at k = 6 it gains from n = 192
+_BISECT_MIN_N = 320
 # the partial solve computes eigenvectors in chunks of this many indices,
 # counted from each end of the ascending spectrum
 _CHUNK = 8
 # a chunk boundary never separates two eigenvalues closer than this
-# fraction of the spectral radius; it moves toward the middle instead
+# fraction of the spectral radius; it moves toward the middle instead.
+# Chunks stop opening once the wanted magnitudes exceed the unopened
+# ones by as much, far above the rounding of bisection and dstemr
 _CLUSTER_TOL = 1e-6
 # LAPACK's safe range for a matrix's largest |entry| (dsyevd's RMIN and
 # RMAX); outside it the partial solve rescales by a power of two
@@ -100,17 +113,18 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
             tolerance is replaced by its average 0.5 * (m + m.T) first.
         k: number of eigenpairs, 1 <= k <= n.
 
-    For n < 128, or when numpy's LAPACK lacks dsytrd, dsterf, dstemr and
-    dormtr, this is a full np.linalg.eigh; otherwise a partial solve in
-    that LAPACK that computes every eigenvalue but only the eigenvectors
-    near the selected ones (see the module docstring). The decomposition
-    is deterministic on both paths: eigenvalues are sorted by decreasing
-    magnitude (stable for ties, so -x precedes x) and each
-    eigenvector's sign is fixed by its largest-magnitude entry, so the
-    result for k is bitwise the first k pairs of the result for any
-    larger k. Raises ValueError when the matrix is not symmetric within
-    tolerance, or when the solver fails or returns a non-finite
-    eigenvalue or eigenvector (weights near the float64 limit).
+    For n < 128, or when numpy's LAPACK lacks dsytrd, dsterf, dstebz,
+    dstemr and dormtr, this is a full np.linalg.eigh; otherwise a partial
+    solve in that LAPACK that computes eigenvectors only near the
+    selected pairs and, from n = 320, eigenvalues only near the ends of
+    the spectrum (see the module docstring). The decomposition is deterministic on both paths:
+    eigenvalues are sorted by decreasing magnitude (stable for ties, so
+    -x precedes x) and each eigenvector's sign is fixed by its
+    largest-magnitude entry, so the result for k is bitwise the first k
+    pairs of the result for any larger k. Raises ValueError when the
+    matrix is not symmetric within tolerance, or when the solver fails
+    or returns a non-finite eigenvalue or eigenvector (weights near the
+    float64 limit).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -131,7 +145,7 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
         def vectors_at(indices):
             return full[:, indices]
     else:
-        vals, vectors_at = _partial_eigh(m, lapack)
+        vals, vectors_at = _partial_eigh(m, lapack, k)
     order = np.argsort(-np.abs(vals), kind="stable")
     vecs = vectors_at(order[:k])
     if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
@@ -149,15 +163,16 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
 
 @cache
 def _lapack() -> dict | None:
-    """dsytrd, dsterf, dstemr and dormtr from numpy's own LAPACK, resolved
-    once on first use; None when numpy's linalg extension does not export
-    them (any build other than scipy-openblas64)."""
+    """dsytrd, dsterf, dstebz, dstemr and dormtr from numpy's own LAPACK,
+    resolved once on first use; None when numpy's linalg extension does
+    not export them (any build other than scipy-openblas64)."""
     ptr, s = ctypes.c_void_p, ctypes.c_char_p
     # Fortran calling convention: every argument by reference, with one
     # hidden size_t length per character argument after the others
     signatures = {
         "dsytrd": [s] + [ptr] * 9 + [ctypes.c_size_t],
         "dsterf": [ptr] * 4,
+        "dstebz": [s, s] + [ptr] * 16 + [ctypes.c_size_t] * 2,
         "dstemr": [s, s] + [ptr] * 19 + [ctypes.c_size_t] * 2,
         "dormtr": [s, s, s] + [ptr] * 10 + [ctypes.c_size_t] * 3,
     }
@@ -197,14 +212,19 @@ def _with_workspace(routine, args: tuple, info: ctypes.c_int64, lengths: tuple) 
     _check(routine, info)
 
 
-def _partial_eigh(m: np.ndarray, lapack: dict):
-    """Every eigenvalue of the exactly symmetric m (ascending), and a
-    function from ascending-order indices to the (n, len(indices))
-    eigenvectors at those indices.
+def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
+    """Eigenvalues of the exactly symmetric m (ascending) that include
+    the k + 1 of largest magnitude, and a function from indices into
+    them to the (n, len(indices)) eigenvectors at those indices.
 
-    The eigenvectors are computed per chunk (_chunk_bounds) and only for
-    the chunks that hold a requested index, so the columns returned for
-    an index do not depend on which other indices are requested.
+    Below _BISECT_MIN_N the values are all n, from dsterf. From it, chunks
+    open in _chunk_order until the k + 1 largest magnitudes among their
+    values exceed every magnitude the unopened middle can hold, and the
+    values are those of the open chunks, each from its own chunk's
+    dstemr call. Eigenvectors come per chunk and are back-transformed
+    only for the chunks that hold a requested index. Chunks, and the
+    order they open in, depend on m alone, so the columns returned for
+    an index do not depend on k or on which other indices are requested.
     """
     n = m.shape[0]
     # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
@@ -223,16 +243,13 @@ def _partial_eigh(m: np.ndarray, lapack: dict):
     if not (np.isfinite(d).all() and np.isfinite(e[: n - 1]).all()):
         raise ValueError("eigendecomposition returned non-finite eigenpairs")
 
-    vals, scratch = d.copy(), e.copy()
-    lapack["dsterf"](_int(n), vals.ctypes.data, scratch.ctypes.data, ctypes.byref(info))
-    _check(lapack["dsterf"], info)
-    bounds = _chunk_bounds(vals)
-
-    def chunk_vectors(lo: int, hi: int) -> np.ndarray:
-        """Eigenvectors lo..hi-1 (ascending) as the rows of a (hi - lo, n) array."""
+    @cache
+    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues lo..hi-1 (ascending) and their eigenvectors of the
+        tridiagonal form, as the rows of a (hi - lo, n) array."""
         cols = hi - lo
         dd, ee = d.copy(), e.copy()  # dstemr overwrites both
-        w, z = np.empty(n), np.empty((cols, n))  # C-order rows are Fortran columns
+        vals, z = np.empty(n), np.empty((cols, n))  # C-order rows are Fortran columns
         isuppz = np.empty(2 * cols, dtype=np.int64)
         tryrac = ctypes.c_int64(1)  # as dsyevr: keep high relative accuracy where T allows it
         work, iwork = np.empty(18 * n), np.empty(10 * n, dtype=np.int64)
@@ -240,56 +257,117 @@ def _partial_eigh(m: np.ndarray, lapack: dict):
         vbound = ctypes.c_double()
         lapack["dstemr"](b"V", b"I", _int(n), dd.ctypes.data, ee.ctypes.data,
                          ctypes.byref(vbound), ctypes.byref(vbound), _int(lo + 1), _int(hi),
-                         ctypes.byref(found), w.ctypes.data, z.ctypes.data, _int(n), _int(cols),
+                         ctypes.byref(found), vals.ctypes.data, z.ctypes.data, _int(n), _int(cols),
                          isuppz.ctypes.data, ctypes.byref(tryrac), work.ctypes.data, _int(len(work)),
                          iwork.ctypes.data, _int(len(iwork)), ctypes.byref(info), 1, 1)
         _check(lapack["dstemr"], info)
         if found.value != cols:
             raise ValueError(f"eigendecomposition failed: dstemr found {found.value} of {cols} eigenvectors")
-        _with_workspace(lapack["dormtr"], (b"L", b"L", b"N", _int(n), _int(cols), a.ctypes.data,
-                                           _int(n), tau.ctypes.data, z.ctypes.data, _int(n)),
-                        info, (1, 1, 1))
-        return z
+        return vals[:cols], z
+
+    if n < _BISECT_MIN_N:
+        every, scratch = d.copy(), e.copy()
+        lapack["dsterf"](_int(n), every.ctypes.data, scratch.ctypes.data, ctypes.byref(info))
+        _check(lapack["dsterf"], info)
+
+        def eigenvalue(i: int) -> float:
+            return float(every[i])
+
+        def values(lo: int, hi: int) -> np.ndarray:
+            return every[lo:hi]
+    else:
+        # dstebz's outputs and workspace, shared by every bisection
+        w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        rwork, riwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+
+        @cache
+        def eigenvalue(i: int) -> float:
+            """The i-th ascending eigenvalue, by Sturm-sequence bisection."""
+            found, nsplit = ctypes.c_int64(), ctypes.c_int64()
+            vbound, abstol = ctypes.c_double(), ctypes.c_double(0.0)  # 0: dstebz's default accuracy
+            lapack["dstebz"](b"I", b"E", _int(n), ctypes.byref(vbound), ctypes.byref(vbound),
+                             _int(i + 1), _int(i + 1), ctypes.byref(abstol), d.ctypes.data,
+                             e.ctypes.data, ctypes.byref(found), ctypes.byref(nsplit), w.ctypes.data,
+                             iblock.ctypes.data, isplit.ctypes.data, rwork.ctypes.data,
+                             riwork.ctypes.data, ctypes.byref(info), 1, 1)
+            _check(lapack["dstebz"], info)
+            if found.value != 1:
+                raise ValueError(f"eigendecomposition failed: dstebz found {found.value} eigenvalues at index {i}")
+            return float(w[0])
+
+        def values(lo: int, hi: int) -> np.ndarray:
+            return chunk(lo, hi)[0]
+
+    # the radius comes from the eigenvalue source, not from the end chunks:
+    # a dstemr call whose index range cuts a tight cluster can fail (DLARRF
+    # finds no representation for the part of the cluster inside the range)
+    tol = _CLUSTER_TOL * max(-eigenvalue(0), eigenvalue(n - 1))
+    opened = []
+    for new, bound in _chunk_order(n, tol, eigenvalue):
+        opened += new
+        mags = np.sort(np.abs(np.concatenate([values(*c) for c in opened])))[::-1]
+        if len(mags) > k and mags[k] > bound + tol:
+            break
+    opened.sort()
+    vals = np.concatenate([values(*c) for c in opened])
+    starts = np.cumsum([0] + [hi - lo for lo, hi in opened])
 
     def vectors_at(indices: np.ndarray) -> np.ndarray:
         vecs = np.empty((n, len(indices)))
-        chunk = np.searchsorted(bounds, indices, side="right") - 1
-        for c in sorted(set(chunk.tolist())):  # np.unique would import numpy.ma
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            picked = chunk == c
-            vecs[:, picked] = chunk_vectors(lo, hi)[indices[picked] - lo].T
+        which = np.searchsorted(starts, indices, side="right") - 1
+        for c in sorted(set(which.tolist())):  # np.unique would import numpy.ma
+            z = chunk(*opened[c])[1]
+            _with_workspace(lapack["dormtr"], (b"L", b"L", b"N", _int(n), _int(len(z)), a.ctypes.data,
+                                               _int(n), tau.ctypes.data, z.ctypes.data, _int(n)),
+                            info, (1, 1, 1))
+            picked = which == c
+            vecs[:, picked] = z[indices[picked] - starts[c]].T
         return vecs
 
     with np.errstate(over="ignore"):  # an infinite eigenvalue is rejected by the caller
         return np.ldexp(vals, -shift), vectors_at
 
 
-def _chunk_bounds(vals: np.ndarray) -> np.ndarray:
-    """Boundaries 0 = b_0 < b_1 < ... = n of the eigenvector chunks for
-    the ascending eigenvalues vals.
+def _chunk_order(n: int, tol: float, eigenvalue):
+    """The eigenvector chunks [lo, hi) of an ascending spectrum of n
+    eigenvalues, in the order the partial solve opens them.
 
-    Chunks hold _CHUNK indices counted from each end of the spectrum and
-    meet near the middle; a boundary that would separate two eigenvalues
-    within _CLUSTER_TOL of the spectral radius moves toward the middle
-    until it does not, so a cluster's eigenvectors come from one dstemr
-    call and stay orthogonal.
+    Yields (chunks, bound) per step: the two end chunks at the first
+    step, then one chunk per step from whichever end of the unopened
+    middle holds the larger |eigenvalue|, each with the largest
+    |eigenvalue| the middle still holds (-inf once it is empty).
+    eigenvalue(i) is the i-th ascending eigenvalue; it is asked only
+    for the two eigenvalues on either side of each boundary tried.
+
+    A chunk takes _CHUNK indices from its end of the middle; a boundary
+    that would separate two eigenvalues within tol moves toward the
+    middle until it does not, so a cluster's eigenvectors come from one
+    dstemr call and stay orthogonal.
     """
-    n = len(vals)
-    tol = _CLUSTER_TOL * max(-float(vals[0]), float(vals[-1]))
+    lo, hi = 0, n
 
     def settle(b: int, step: int) -> int:
-        b = min(max(b, 0), n)
-        while 0 < b < n and vals[b] - vals[b - 1] <= tol:
+        while lo < b < hi and eigenvalue(b) - eigenvalue(b - 1) <= tol:
             b += step
-        return b
+        return min(max(b, lo), hi)
 
-    lower = [0]
-    while lower[-1] < n // 2:
-        lower.append(settle(lower[-1] + _CHUNK, 1))
-    upper = [n]
-    while (b := settle(upper[-1] - _CHUNK, -1)) > lower[-1]:
-        upper.append(b)
-    return np.array(lower + upper[::-1] if lower[-1] < n else lower)
+    def bound() -> float:
+        return max(abs(eigenvalue(lo)), abs(eigenvalue(hi - 1))) if lo < hi else -np.inf
+
+    lo = settle(_CHUNK, 1)
+    ends = [(0, lo)]
+    if lo < hi:
+        hi = settle(n - _CHUNK, -1)
+        ends.append((hi, n))
+    yield ends, bound()
+    while lo < hi:
+        if abs(eigenvalue(lo)) >= abs(eigenvalue(hi - 1)):
+            b = settle(lo + _CHUNK, 1)
+            new, lo = (lo, b), b
+        else:
+            b = settle(hi - _CHUNK, -1)
+            new, hi = (b, hi), b
+        yield [new], bound()
 
 
 def successive_projection(y: np.ndarray, k: int) -> np.ndarray:

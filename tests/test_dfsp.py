@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmdf.datasets import load_dataset
 from mmdf.dfsp import EstimationError, dfsp, harden, memberships_from_vectors
 from mmdf.generator import (
     EdgeDistribution,
@@ -70,6 +71,28 @@ class TestIdealRecovery:
 
 
 class TestOutputContract:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-100, 100), st.integers(1, 6), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_fit_does_not_depend_on_the_scale_of_the_input(self, j, k, seed):
+        # karate, or a random symmetric matrix, scaled by a power of two:
+        # the rank check is relative, so the scaled graph fits wherever
+        # the graph does, with the same memberships
+        if seed is None:
+            w = load_dataset("karate").graph.weights
+        else:
+            w = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 12))
+            w = w + w.T
+        try:
+            want = dfsp(w, k).memberships
+        except EstimationError:
+            return
+        got = dfsp(2.0**j * w, k).memberships
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_all_zero_spectrum_has_no_structure(self):
+        with pytest.raises(EstimationError, match="no rank-1 structure"):
+            dfsp(np.zeros((5, 5)), 1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 4))
     def test_rows_are_pmfs_for_arbitrary_symmetric_input(self, seed, n, k):

@@ -182,6 +182,15 @@ class TestSampling:
         assert np.allclose(graph.weights[off], omega[off])
         assert np.all(np.diag(graph.weights) == 0)
 
+    def test_point_mass_near_the_float64_limit(self):
+        # the averaged means stay finite where mean + mean.T would overflow
+        spec = standard_spec(Family.POINT_MASS, rho=1e308, n=40, pure=8)
+        graph, _ = sample_adjacency(spec)
+        omega = population_adjacency(spec)
+        off = ~np.eye(40, dtype=bool)
+        assert np.isfinite(omega).all() and np.abs(omega).max() > 1e307
+        assert np.array_equal(graph.weights[off], omega[off])
+
     def test_seed_determinism(self):
         spec = standard_spec(Family.NORMAL, rho=5.0, n=30, pure=6, seed=99)
         g1, _ = sample_adjacency(spec)

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 import mmdf
 from mmdf.cli import main
-from mmdf.generator import Family
+from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
 from mmdf.harness import ExperimentConfig, run_simulation
 
 from conftest import standard_spec
@@ -147,6 +147,25 @@ class TestCli:
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "error: k_max must be >= 1" in result.output
+
+    def test_simulate_weights_near_the_float64_limit_exit_cleanly(self, tmp_path):
+        # normal means at rho = 1e308 are finite; a draw that no solver can
+        # decompose ends with an error line, not a traceback
+        dist = EdgeDistribution(Family.NORMAL, sigma2=1.0)
+        spec = GeneratorSpec(
+            memberships=build_membership(8, 2, 3, [(np.array([0.5, 0.5]), 2)]),
+            connectivity=check_connectivity(np.array([[1.0, 0.2], [0.2, 0.8]]), dist),
+            rho=1.0,
+            distribution=dist,
+        )
+        config = ExperimentConfig(generator=spec, sweep_values=(1e308,), replications=2,
+                                  estimate_counts=True, k_scan_max=3, profile="ci")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code in (0, 2), result.output
+        assert result.exit_code == 0 or "error: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_simulate_missing_config_exits_3(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--config", str(tmp_path / "none.json")])

@@ -143,13 +143,18 @@ class TestTopKEigen:
 
 @contextmanager
 def solver(name: str):
-    """Run top_k_eigen's partial LAPACK solve (n >= N_PARTIAL), or force
-    its np.linalg.eigh fallback by hiding the LAPACK binding."""
+    """Run top_k_eigen's partial LAPACK solve as it runs at n >= N_PARTIAL
+    (below _BISECT_MIN_N, with every eigenvalue from dsterf), the same
+    solve with the eigenvalues it needs bisected as it runs from
+    _BISECT_MIN_N on, or force its np.linalg.eigh fallback by hiding the
+    LAPACK binding."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "eigh":
             mp.setattr(spectral, "_lapack", lambda: None)
         elif spectral._lapack() is None:
-            pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstemr/dormtr")
+            pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
+        elif name == "bisect":
+            mp.setattr(spectral, "_BISECT_MIN_N", N_PARTIAL)
         yield
 
 
@@ -179,6 +184,22 @@ def bipartite(rng, n):
     p = int(rng.integers(n // 4, n // 2 + 1))
     b = (rng.random((p, n - p)) < 0.1) * rng.integers(1, 4, size=(p, n - p))
     return np.block([[np.zeros((p, p)), b], [b.T, np.zeros((n - p, n - p))]]).astype(float)
+
+
+def spaced(rng, lo, hi, count):
+    """count values spread evenly over [lo, hi], each moved at random by
+    up to a quarter of their spacing, so no two lie closer than half of
+    it: check_contract's eigenvector tolerances presume such gaps."""
+    step = (hi - lo) / count
+    return lo + step * (np.arange(count) + 0.5 + rng.uniform(-0.25, 0.25, count))
+
+
+def with_spectrum(rng, spectrum):
+    """A symmetric matrix with the given eigenvalues, in a random basis
+    whose tridiagonal form does not split."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(spectrum), len(spectrum))))
+    m = (q * spectrum) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def check_contract(m, k_max, k):
@@ -215,10 +236,11 @@ def check_contract(m, k_max, k):
     assert (v[lead, np.arange(k_max)] > 0).all()
 
 
-@pytest.mark.parametrize("name", ["partial", "eigh"])
+@pytest.mark.parametrize("name", ["partial", "bisect", "eigh"])
 class TestLargeMatrices:
-    """The contract at n >= N_PARTIAL, on the partial LAPACK solve and on
-    the np.linalg.eigh fallback that runs when numpy's LAPACK lacks it."""
+    """The contract at n >= N_PARTIAL, on the partial LAPACK solve with
+    either eigenvalue source and on the np.linalg.eigh fallback that runs
+    when numpy's LAPACK lacks it."""
 
     @settings(max_examples=16, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
@@ -245,6 +267,52 @@ class TestLargeMatrices:
         m = q @ m @ q.T
         with solver(name):
             check_contract(0.5 * (m + m.T), 20, 7)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80), st.integers(1, 24), st.data())
+    def test_next_pair_at_the_other_end(self, name, seed, n, k_max, data):
+        # every top-k_max magnitude is positive while the (k_max+1)-th is
+        # the most negative eigenvalue, at the other end of the spectrum
+        rng = np.random.default_rng(seed)
+        top = spaced(rng, 3.0, 4.0, k_max)
+        bottom = -2.0 - rng.random()
+        bulk = spaced(rng, -1.0, 1.0, n - k_max - 1)
+        m = with_spectrum(rng, np.concatenate([top, [bottom], bulk]))
+        k = data.draw(st.integers(1, k_max))
+        with solver(name):
+            check_contract(m, k_max, k)
+            assert top_k_eigen(m, k_max).next_magnitude == pytest.approx(-bottom, rel=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80), st.integers(2, 6),
+           st.booleans(), st.data())
+    def test_cluster_straddling_the_first_boundary(self, name, seed, n, size, upper, data):
+        # a cluster within 1e-8 of the radius holds indices _CHUNK - 1 and
+        # _CHUNK from one end of the spectrum
+        rng = np.random.default_rng(seed)
+        spectrum = spaced(rng, -1.0, 1.0, n)
+        start = data.draw(st.integers(spectral._CHUNK - size + 1, spectral._CHUNK - 1))
+        spectrum[start:start + size] = spectrum[start] + rng.uniform(0.0, 1e-8, size)
+        m = with_spectrum(rng, -spectrum if upper else spectrum)
+        k_max = data.draw(st.integers(1, 24))
+        k = data.draw(st.integers(1, k_max))
+        with solver(name):
+            check_contract(m, k_max, k)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
+           st.sampled_from([-1e-8, 0.0, 1e-8]), st.integers(1, 12), st.data())
+    def test_near_tie_between_an_end_and_the_middle(self, name, seed, n, delta, k_max, data):
+        # |λ_8| (just inside the unopened middle) is within 1e-8 of the
+        # largest positive eigenvalue, so the end chunks alone cannot tell
+        # which of the two comes first
+        rng = np.random.default_rng(seed)
+        ends = spaced(rng, -10.0, -9.0, spectral._CHUNK)
+        bulk = spaced(rng, -1.0, 1.0, n - spectral._CHUNK - 2)
+        m = with_spectrum(rng, np.concatenate([ends, [-3.0 - delta, 3.0], bulk]))
+        k = data.draw(st.integers(1, k_max))
+        with solver(name):
+            check_contract(m, k_max, k)
 
     def test_zero_matrix(self, name):
         # one cluster holds the whole spectrum
@@ -285,7 +353,7 @@ class TestLargeMatrices:
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
     # the solver depends on n (and the numpy build), never on k
     if spectral._lapack() is None:
-        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstemr/dormtr")
+        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
@@ -301,22 +369,92 @@ def test_partial_solve_binds_on_scipy_openblas64():
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy links {lapack.get('name')}, not scipy-openblas64")
-    assert spectral._lapack() is not None
+    assert set(spectral._lapack() or ()) == {"dsytrd", "dsterf", "dstebz", "dstemr", "dormtr"}
+
+
+def test_partial_solve_opens_only_the_chunks_it_needs(monkeypatch, rng):
+    # from _BISECT_MIN_N no pass over the full spectrum runs: dstemr runs
+    # per chunk, and dstebz bisects only the two extremes, which give the
+    # spectral radius, and the two eigenvalues on either side of each
+    # boundary
+    routines = spectral._lapack()
+    if routines is None:
+        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
+    calls = []
+
+    def counted(name, routine):
+        def call(*args):
+            calls.append((name, args))
+            return routine(*args)
+
+        call.__name__ = routine.__name__
+        return call
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: {name: counted(name, r) for name, r in routines.items()})
+
+    def ranges(routine):
+        # the 1-based index range (IL, IU) asked of each call, by position
+        at = {"dstebz": (5, 6), "dstemr": (7, 8)}[routine]
+        return [tuple(args[i]._obj.value for i in at) for name, args in calls if name == routine]
+
+    n = spectral._BISECT_MIN_N
+    m = random_symmetric(rng, n)
+    for k in range(1, spectral._CHUNK):
+        calls.clear()
+        top_k_eigen(m, k)
+        # a semicircle spectrum: the k + 1 largest magnitudes lie in the end
+        # chunks, so only those two open, and two boundaries are settled
+        assert ranges("dstemr") == [(1, 8), (n - 7, n)]
+        assert sorted(ranges("dstebz")) == [(i, i) for i in (1, 8, 9, n - 8, n - 7, n)]
+        assert {name for name, _ in calls} == {"dsytrd", "dstebz", "dstemr", "dormtr"}
+    for k in (17, 24):
+        calls.clear()
+        top_k_eigen(m, k)
+        opened = ranges("dstemr")
+        assert len(opened) > 2 and all(iu - il + 1 == spectral._CHUNK for il, iu in opened)
+        assert len(ranges("dstebz")) == 2 + 2 * len(opened)
+    # one order smaller, dsterf computes every eigenvalue at once instead
+    calls.clear()
+    top_k_eigen(random_symmetric(rng, n - 1), 3)
+    assert [name for name, _ in calls].count("dsterf") == 1 and not ranges("dstebz")
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.integers(1, 6)), min_size=1, max_size=60))
 def test_chunk_bounds_partition_without_splitting_clusters(clusters):
-    # eigenvalues with multiplicities, ascending as dsterf returns them
+    # eigenvalues with multiplicities, ascending; opening every chunk
     vals = np.sort(np.repeat([v for v, _ in clusters], [r for _, r in clusters]))
-    b = spectral._chunk_bounds(vals)
     n = len(vals)
-    assert b[0] == 0 and b[-1] == n and (np.diff(b) > 0).all()
     tol = spectral._CLUSTER_TOL * np.abs(vals).max()
+    asked = set()
+
+    def eigenvalue(i):
+        asked.add(i)
+        return float(vals[i])
+
+    steps = list(spectral._chunk_order(n, tol, eigenvalue))
+    chunks = sorted(c for new, _ in steps for c in new)
+    b = np.array([lo for lo, _ in chunks] + [n])
+    assert b[0] == 0 and [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+    assert (np.diff(b) > 0).all()
     assert all(vals[c] - vals[c - 1] > tol for c in b[1:-1])
-    # chunks away from the clusters hold _CHUNK indices from either end
+    # each step reports the largest magnitude the unopened middle holds,
+    # and after the end chunks opens the end of the middle that holds it
+    unopened = np.ones(n, dtype=bool)
+    for step, (new, bound) in enumerate(steps):
+        if step > 0:
+            [(lo, hi)] = new
+            middle = np.flatnonzero(unopened)
+            lower = abs(vals[middle[0]]) >= abs(vals[middle[-1]])
+            assert (lo == middle[0]) if lower else (hi == middle[-1] + 1)
+        for lo, hi in new:
+            unopened[lo:hi] = False
+        assert bound == np.abs(vals[unopened]).max(initial=-np.inf)
+    # chunks away from the clusters hold _CHUNK indices from either end,
+    # and bisection asks only for the two eigenvalues beside each boundary
     if np.diff(vals).min(initial=np.inf) > tol and n >= 4 * spectral._CHUNK:
         assert b[1] == spectral._CHUNK and b[-2] == n - spectral._CHUNK
+        assert asked == {i for c in b[1:-1] for i in (c - 1, c)}
 
 
 class TestSuccessiveProjection:
