@@ -354,15 +354,19 @@ def sample_adjacency(
     half = _block_mean(spec, 0.5)
     n = spec.n
     # strict upper triangle in row-major order; the means are
-    # population_adjacency's, averaged only where drawn
+    # population_adjacency's, averaged only where drawn. half goes before
+    # the draw and the means after it, so sampling never holds more than
+    # two n x n arrays' worth
     upper = np.arange(n)[:, None] < np.arange(n)
-    means = half[upper] + half.T[upper]
+    means = half[upper]
+    means += half.T[upper]
+    del half
     values = _draw_weights(rng, means, spec.distribution)
+    del means
     if spec.sparsity is not None:
-        mask = rng.random(values.shape) < spec.sparsity
-        values = values * mask
+        values *= rng.random(values.shape) < spec.sparsity
     # + 0.0 turns the -0.0 of masked negative draws into +0.0
-    values = values + 0.0
+    values += 0.0
     a = np.zeros((n, n))
     a[upper] = values
     a.T[upper] = values

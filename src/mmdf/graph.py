@@ -76,15 +76,9 @@ class WeightedGraph:
 
     @cached_property
     def _split(self) -> "SignSplit":
-        # sign_split of this graph scaled by the power of two that brings
-        # its largest |weight| into [1, 2), computed once per graph:
-        # scoring every k of a community-count scan reuses it. The scaling
-        # is exact, so scale-free scores are unchanged by it, and it keeps
-        # their squared degree sums finite for any finite weights.
-        w = self.weights
-        peak = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
-        shift = 1 - int(np.frexp(peak)[1])
-        return sign_split(self if shift == 0 else WeightedGraph(np.ldexp(w, shift)))
+        # computed once per graph: scoring every k of a community-count
+        # scan reuses it
+        return sign_split(self)
 
     def isolated_nodes(self) -> list[int]:
         """Indices of nodes with no incident nonzero weight."""
@@ -94,42 +88,71 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class SignSplit:
-    """Decomposition of a signed adjacency into nonnegative parts.
+    """Degrees and masses of the two nonnegative parts of a signed
+    adjacency W, max(0, W) and max(0, -W), both scaled by 2**shift.
 
-    pos - neg reconstructs the original weights exactly, and
-    pos * neg == 0 entrywise (each entry lands in exactly one part).
+    shift brings the largest |weight| into [1, 2). The scaling is exact
+    (short of weights that underflow), so scale-free scores are unchanged
+    by it, and it keeps their squared degree sums finite for any finite
+    weights. The parts themselves are not kept: products with them are
+    computed from row blocks of W.
     """
 
-    pos: np.ndarray
-    neg: np.ndarray
     pos_degrees: np.ndarray
     neg_degrees: np.ndarray
     pos_mass: float
     neg_mass: float
+    shift: int
+
+
+# rows of W per block when streaming over the sign split. On 2 cores at
+# n = 800, blocks of 32 to 64 rows scored fastest: both parts' blocks
+# (800 KB at 64 rows) stay in the 2 MB L2 cache; 96 rows and more were
+# slower
+_BLOCK_ROWS = 64
+
+
+def _sign_blocks(w: np.ndarray, shift: int):
+    """Yield (rows, parts) over row blocks of w: the row slice and a
+    (2, rows, n) array holding that block of 2**shift * max(0, w) and of
+    2**shift * max(0, -w). The array is overwritten by the next block.
+
+    Both parts are exact entrywise: neg = pos - w is -w where w < 0 and
+    w - w = 0 elsewhere.
+    """
+    n = w.shape[0]
+    buffer = np.empty((2, min(_BLOCK_ROWS, n), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        parts = buffer[:, : min(_BLOCK_ROWS, n - start)]
+        pos, neg = parts
+        np.ldexp(w[rows], shift, out=neg)
+        np.maximum(neg, 0.0, out=pos)
+        np.subtract(pos, neg, out=neg)
+        yield rows, parts
 
 
 def sign_split(g: WeightedGraph) -> SignSplit:
     """Split a graph into its positive and negative parts.
 
-    Returns the two nonnegative matrices max(0, W) and max(0, -W),
-    their degree vectors, and the total edge masses (half the degree
-    sums, so each unordered pair counts once).
+    Returns the degree vectors of max(0, W) and max(0, -W) and their
+    total edge masses (half the degree sums, so each unordered pair
+    counts once), all scaled by 2**shift as SignSplit describes. Works
+    over row blocks of W: no n x n array is allocated.
     """
-    pos = np.maximum(0.0, g.weights)
-    neg = np.maximum(0.0, -g.weights)
-    pos.setflags(write=False)
-    neg.setflags(write=False)
-    d_pos = pos.sum(axis=1)
-    d_neg = neg.sum(axis=1)
-    d_pos.setflags(write=False)
-    d_neg.setflags(write=False)
+    w = g.weights
+    peak = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
+    shift = 1 - int(np.frexp(peak)[1])
+    degrees = np.empty((2, g.n))
+    for rows, parts in _sign_blocks(w, shift):
+        parts.sum(axis=2, out=degrees[:, rows])
+    degrees.setflags(write=False)
     return SignSplit(
-        pos=pos,
-        neg=neg,
-        pos_degrees=d_pos,
-        neg_degrees=d_neg,
-        pos_mass=float(d_pos.sum() / 2.0),
-        neg_mass=float(d_neg.sum() / 2.0),
+        pos_degrees=degrees[0],
+        neg_degrees=degrees[1],
+        pos_mass=float(degrees[0].sum() / 2.0),
+        neg_mass=float(degrees[1].sum() / 2.0),
+        shift=shift,
     )
 
 

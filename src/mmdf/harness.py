@@ -61,6 +61,8 @@ class ExperimentConfig:
     k_scan_max: int = 6
     seed: int = 0
     profile: str = "paper"
+    # the validated spec at each sweep value, built once by __post_init__
+    specs: tuple[GeneratorSpec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sweep_parameter not in ("rho", "sparsity"):
@@ -73,13 +75,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"k_scan_max={self.k_scan_max} out of range for n={self.generator.n}"
             )
-        for v in self.sweep_values:
-            self._spec_at(float(v))  # raises on inadmissible values
-
-    def _spec_at(self, value: float) -> GeneratorSpec:
-        if self.sweep_parameter == "rho":
-            return replace(self.generator, rho=value)
-        return replace(self.generator, sparsity=value)
+        # raises on inadmissible values
+        specs = tuple(replace(self.generator, **{self.sweep_parameter: float(v)})
+                      for v in self.sweep_values)
+        object.__setattr__(self, "specs", specs)
 
     def to_dict(self) -> dict:
         return {
@@ -189,8 +188,7 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     (config.seed, value index, replicate index).
     """
     cells = []
-    for vi, value in enumerate(config.sweep_values):
-        spec = config._spec_at(float(value))
+    for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
         tasks = [
             (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
             for r in range(config.replications)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dfsp import DfspReport, EstimationError, dfsp, validate_memberships
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _sign_blocks
 from .spectral import TopKEigen, top_k_eigen
 
 __all__ = [
@@ -45,11 +45,11 @@ class ModularityValue:
     neg_weight: float
 
 
-def _soft_modularity(part: np.ndarray, degrees: np.ndarray, mass: float, m: np.ndarray) -> float:
-    # sum_ij (part_ij - d_i d_j / 2m) <m_i, m_j>, including i == j as the
-    # null-model diagonal (part's diagonal is zero by construction)
+def _soft_modularity(part_m: np.ndarray, degrees: np.ndarray, mass: float, m: np.ndarray) -> float:
+    # sum_ij (part_ij - d_i d_j / 2m) <m_i, m_j> from part_m = part @ m,
+    # including i == j as the null-model diagonal (part's diagonal is zero)
     two_m = 2.0 * mass
-    edge_term = float(np.einsum("ij,ij->", part @ m, m))
+    edge_term = float(np.einsum("ij,ij->", part_m, m))
     null_term = float(np.square(degrees @ m).sum()) / two_m
     return (edge_term - null_term) / two_m
 
@@ -77,12 +77,17 @@ def fuzzy_weighted_modularity(g: WeightedGraph, memberships: np.ndarray) -> Modu
     if m.shape[1] == 1:
         # single-community null: both double sums vanish identically
         return ModularityValue(0.0, 0.0, 0.0, pos_weight, neg_weight)
+    # pos @ m and neg @ m, assembled from row blocks of the two parts
+    products = np.empty((2, g.n, m.shape[1]))
+    for rows, parts in _sign_blocks(g.weights, split.shift):
+        np.matmul(parts, m, out=products[:, rows])
+    pos_m, neg_m = products
     q_pos = 0.0
     if split.pos_mass > 0:
-        q_pos = _soft_modularity(split.pos, split.pos_degrees, split.pos_mass, m)
+        q_pos = _soft_modularity(pos_m, split.pos_degrees, split.pos_mass, m)
     q_neg = 0.0
     if split.neg_mass > 0:
-        q_neg = _soft_modularity(split.neg, split.neg_degrees, split.neg_mass, m)
+        q_neg = _soft_modularity(neg_m, split.neg_degrees, split.neg_mass, m)
     q = pos_weight * q_pos - neg_weight * q_neg
     return ModularityValue(q=q, q_pos=q_pos, q_neg=q_neg, pos_weight=pos_weight, neg_weight=neg_weight)
 

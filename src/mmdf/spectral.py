@@ -133,8 +133,7 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     if not np.array_equal(m, m.T):
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
+        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
             raise ValueError("matrix is not symmetric within tolerance")
         m = 0.5 * (m + m.T)
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mmdf.graph import (
     ParseError,
     WeightedGraph,
+    _BLOCK_ROWS,
+    _sign_blocks,
     load_edge_list,
     sign_split,
     write_edge_list,
@@ -177,19 +179,26 @@ def test_empty_or_repeated_label_rejected(names, culprit):
     assert_rejected_before_any_write(names, culprit)
 
 
+def dense_parts(w: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """max(0, W) and max(0, -W) scaled by 2**shift, as dense matrices."""
+    return np.ldexp(np.maximum(w, 0.0), shift), np.ldexp(np.maximum(-w, 0.0), shift)
+
+
 class TestSignSplit:
     def test_pure_negative(self):
-        g = WeightedGraph(np.array([[0.0, -2.0], [-2.0, 0.0]]))
-        s = sign_split(g)
-        assert np.all(s.pos == 0)
-        assert s.neg[0, 1] == 2.0
+        w = np.array([[0.0, -2.0], [-2.0, 0.0]])
+        s = sign_split(WeightedGraph(w))
+        pos, neg = dense_parts(w, s.shift)
+        assert np.all(pos == 0)
+        assert neg[0, 1] == 1.0  # the largest |weight| is scaled into [1, 2)
+        assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
         assert s.pos_mass == 0.0
-        assert s.neg_mass == 2.0
+        assert np.ldexp(s.neg_mass, -s.shift) == 2.0
 
     def test_pure_positive(self):
         g = WeightedGraph(np.array([[0.0, 3.0], [3.0, 0.0]]))
         s = sign_split(g)
-        assert s.pos_mass == 3.0
+        assert np.ldexp(s.pos_mass, -s.shift) == 3.0
         assert s.neg_mass == 0.0
 
     def test_mixed_hand_sum(self):
@@ -202,9 +211,19 @@ class TestSignSplit:
         assert np.array_equal(s.neg_degrees, [1.0, 0.0, 1.0])
 
     def test_reconstruction_and_disjoint_support(self, rng):
-        w = rng.normal(size=(8, 8))
+        # n spans two full row blocks and a partial one
+        n = 2 * _BLOCK_ROWS + 5
+        w = rng.normal(size=(n, n))
         w = w + w.T
         np.fill_diagonal(w, 0.0)
         s = sign_split(WeightedGraph(w))
-        assert np.array_equal(s.pos - s.neg, w)
-        assert np.all(s.pos * s.neg == 0.0)
+        blocks = [(rows, parts.copy()) for rows, parts in _sign_blocks(w, s.shift)]
+        assert [rows for rows, _ in blocks] == [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+        pos, neg = np.concatenate([parts for _, parts in blocks], axis=1)
+        dense_pos, dense_neg = dense_parts(w, s.shift)
+        assert np.array_equal(pos, dense_pos) and np.array_equal(neg, dense_neg)
+        assert np.array_equal(pos - neg, np.ldexp(w, s.shift))
+        assert np.all(pos * neg == 0.0)
+        assert np.array_equal(s.pos_degrees, pos.sum(axis=1))
+        assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
+        assert s.pos_mass == pos.sum(axis=1).sum() / 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestRunSimulation:
     def test_inadmissible_sweep_value_rejected_upfront(self):
         with pytest.raises(ValueError, match="admissible"):
             small_config(Family.BERNOULLI, values=(0.5, 2.0))
+
+    def test_sweep_specs_are_validated_once(self, monkeypatch):
+        config = small_config(values=(2.0, 5.0))
+        assert [spec.rho for spec in config.specs] == [2.0, 5.0]
+        # a copy builds its own specs, which take no part in equality
+        assert dataclasses.replace(config) == config
+        assert "specs" not in repr(config)
+        built = []
+        original = GeneratorSpec.__post_init__
+        monkeypatch.setattr(GeneratorSpec, "__post_init__", lambda spec: built.append(spec) or original(spec))
+        run_simulation(config)
+        assert built == []
 
     def test_csv_and_json_emission(self, tmp_path):
         report = run_simulation(small_config())

@@ -1,0 +1,57 @@
+"""Working memory of a replicate's stages, measured with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so the traced peak
+counts every n x n array a stage holds at once. W below is the byte
+size of one n x n float64 matrix, the size of the sampled weights.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mmdf.generator import Family, sample_adjacency
+from mmdf.modularity import estimate_k
+from mmdf.spectral import top_k_eigen
+
+from conftest import standard_spec
+
+N = 400
+W = N * N * 8
+
+
+def traced_peak(f):
+    """f's result, and the most bytes it held at once beyond what was
+    live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+@pytest.fixture
+def spec():
+    return standard_spec(Family.SIGNED, rho=0.5, n=N, pure=100, seed=4)
+
+
+def test_sampling_holds_at_most_two_matrices(spec):
+    # the result, the block mean and the upper-triangle means and draws
+    # (half a matrix each) would exceed this: the mean must be released
+    (graph, _), peak = traced_peak(lambda: sample_adjacency(spec))
+    assert graph.weights.nbytes == W
+    assert peak <= 2.25 * W
+
+
+def test_scan_forms_no_dense_part(spec):
+    # a fresh graph has no cached sign split, so this counts the split
+    # and the scoring of every k; a dense positive or negative part
+    # alone would be W
+    graph, _ = sample_adjacency(spec)
+    spectrum = top_k_eigen(graph.weights, 5)
+    scan, peak = traced_peak(lambda: estimate_k(graph, k_max=5, eigen=spectrum))
+    assert all(p.ok for p in scan.curve)
+    assert peak <= 0.5 * W

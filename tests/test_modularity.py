@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mmdf.graph import WeightedGraph
+from mmdf.graph import _BLOCK_ROWS, WeightedGraph
 from mmdf.modularity import estimate_k, fuzzy_weighted_modularity
 
 from conftest import standard_spec
@@ -158,6 +158,36 @@ class TestFuzzyWeightedModularity:
         m = np.random.default_rng(seed).dirichlet(np.ones(3), size=n)
         value = fuzzy_weighted_modularity(WeightedGraph(w), m)
         assert all(np.isfinite([value.q, value.q_pos, value.q_neg, value.pos_weight, value.neg_weight]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 2 * _BLOCK_ROWS + 3),
+           st.integers(-5, 20), st.integers(-5, 20))
+    @example(seed=0, n=12, pos_exp=20, neg_exp=-5)
+    @example(seed=1, n=_BLOCK_ROWS + 1, pos_exp=20, neg_exp=-5)
+    def test_streamed_products_match_dense_parts(self, seed, n, pos_exp, neg_exp):
+        # positive and negative weights of independent scales: the
+        # negative part must not be recovered as a difference of
+        # positive-scale products, which loses it to rounding
+        rng = np.random.default_rng(seed)
+        sign = rng.choice([1.0, -1.0, 0.0], p=[0.4, 0.4, 0.2], size=(n, n))
+        scale = np.where(sign > 0, 10.0**pos_exp, 10.0**neg_exp)
+        w = np.triu(sign * scale * rng.uniform(0.5, 1.5, size=(n, n)), 1)
+        w = w + w.T
+        m = rng.dirichlet(np.ones(3), size=n)
+        dense, two_ms = [], []
+        for part in (np.maximum(w, 0.0), np.maximum(-w, 0.0)):
+            d = part.sum(axis=1)
+            two_m = d.sum()
+            edge = np.einsum("ij,ij->", part @ m, m)
+            dense.append((edge - np.square(d @ m).sum() / two_m) / two_m if two_m > 0 else 0.0)
+            two_ms.append(two_m)
+        total = sum(two_ms)
+        q_dense = (two_ms[0] * dense[0] - two_ms[1] * dense[1]) / total if total > 0 else 0.0
+        value = fuzzy_weighted_modularity(WeightedGraph(w), m)
+        # every part lies in [-1, 1], so 1e-12 is relative to its scale
+        assert value.q_pos == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
+        assert value.q_neg == pytest.approx(dense[1], rel=1e-12, abs=1e-12)
+        assert value.q == pytest.approx(q_dense, rel=1e-12, abs=1e-12)
 
     def test_column_permutation_invariance(self, rng):
         w = rng.normal(size=(6, 6))

@@ -100,6 +100,26 @@ class TestTopKEigen:
         assert res.values.tobytes() == avg.values.tobytes()
         assert res.vectors.tobytes() == avg.vectors.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-200, 200))
+    def test_symmetry_tolerance_is_scale_free(self, seed, asymmetric, j):
+        # 2**j * m is exact, so it must be accepted exactly when m is
+        m = np.random.default_rng(seed).normal(size=(5, 5))
+        if not asymmetric:
+            m = m + m.T
+            m[0, 1] += 1e-12
+
+        def accepted(a):
+            try:
+                top_k_eigen(a, 2)
+            except ValueError as exc:
+                assert "symmetric" in str(exc)
+                return False
+            return True
+
+        assert accepted(m) is not asymmetric
+        assert accepted(np.ldexp(m, j)) is not asymmetric
+
     def test_rejects_non_finite_spectrum(self):
         # finite weights whose eigenvalues exceed the float64 range
         m = np.full((4, 4), 1.5e308)
