@@ -71,9 +71,11 @@ def validate_memberships(m: np.ndarray, tol: float = 1e-10) -> None:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"membership matrix must be 2-d, got shape {m.shape}")
-    if np.any(m < 0):
+    # reductions to one number, with no boolean temporaries: this runs
+    # on every scored k
+    if m.min(initial=0.0) < 0:
         raise ValueError("membership entries must be nonnegative")
-    if np.any(np.abs(m.sum(axis=1) - 1.0) > tol):
+    if np.abs(m.sum(axis=1) - 1.0).max(initial=0.0) > tol:
         raise ValueError("membership rows must sum to 1")
 
 
@@ -94,7 +96,9 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"successive projection found only {len(vertices)} of {k} corners",
         )
     corners = vectors[vertices, :]
-    cond = float(np.linalg.cond(corners))
+    # the 2-norm condition number, as np.linalg.cond computes it
+    s = np.linalg.svd(corners, compute_uv=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _MAX_CORNER_CONDITION:
         raise EstimationError(
             "inversion",
@@ -103,14 +107,18 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
         )
     # raw = vectors @ inv(corners), via a solve for numerical robustness
     raw = np.linalg.solve(corners.T, vectors.T).T
-    clipped_rows = int(np.count_nonzero((raw < 0).any(axis=1)))
+    # ufunc reductions directly: the same values as the array methods,
+    # without their Python wrappers
+    clipped_rows = int(np.count_nonzero(np.logical_or.reduce(raw < 0, axis=1)))
     clipped = np.maximum(0.0, raw)
-    row_sums = clipped.sum(axis=1)
+    row_sums = np.add.reduce(clipped, axis=1)
     degenerate = row_sums == 0.0
     degenerate_rows = int(np.count_nonzero(degenerate))
-    row_sums[degenerate] = 1.0
+    if degenerate_rows:
+        # (1 / k) / 1 is exactly 1 / k
+        row_sums[degenerate] = 1.0
+        clipped[degenerate] = 1.0 / k
     memberships = clipped / row_sums[:, None]
-    memberships[degenerate] = 1.0 / k
     memberships.setflags(write=False)
     return memberships, vertices, clipped_rows, degenerate_rows
 

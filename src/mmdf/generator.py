@@ -12,7 +12,7 @@ thinned by an independent bernoulli(p) mask to create missing edges.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import sqrt
 
@@ -99,6 +99,15 @@ class EdgeDistribution:
         return self.family in _NONNEGATIVE_MEAN
 
 
+def _equal_by_value(self, other) -> bool:
+    """Dataclass equality that compares ndarray fields by value (the
+    generated __eq__ compares them with ==, which cannot be a bool)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class ConnectivityMatrix:
     """Validated symmetric full-rank block-affinity matrix.
@@ -109,6 +118,8 @@ class ConnectivityMatrix:
 
     entries: np.ndarray
     sigma_k: float
+
+    __eq__ = _equal_by_value
 
     @property
     def k(self) -> int:
@@ -204,6 +215,8 @@ class GeneratorSpec:
     distribution: EdgeDistribution
     sparsity: float | None = None
     seed: int = 0
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self):
         m = np.asarray(self.memberships, dtype=float)

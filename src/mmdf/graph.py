@@ -7,8 +7,10 @@ self-edges are not represented (the diagonal is always zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +38,11 @@ class ParseError(ValueError):
 def _check_symmetric_zero_diag(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("adjacency contains non-finite entries")
     if not np.array_equal(w, w.T):
         raise ValueError("adjacency must be exactly symmetric")
-    if np.any(np.diagonal(w) != 0.0):
+    if np.diagonal(w).any():
         raise ValueError("adjacency diagonal must be zero (no self-edges)")
 
 
@@ -63,7 +65,7 @@ class WeightedGraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.node_labels is not None:
-            labels = tuple(str(s) for s in self.node_labels)
+            labels = tuple(map(str, self.node_labels))
             if len(labels) != w.shape[0]:
                 raise ValueError(
                     f"{len(labels)} labels for {w.shape[0]} nodes"
@@ -110,21 +112,29 @@ class SignSplit:
 # (800 KB at 64 rows) stay in the 2 MB L2 cache; 96 rows and more were
 # slower
 _BLOCK_ROWS = 64
+# entries of W per block on small graphs: blocks grow past _BLOCK_ROWS
+# rows up to this size, so a graph of up to 128 nodes is one block (each
+# block pays a fixed cost in numpy calls) while from n = 256 blocks keep
+# _BLOCK_ROWS rows
+_BLOCK_ENTRIES = 2**14
 
 
 def _sign_blocks(w: np.ndarray, shift: int):
     """Yield (rows, parts) over row blocks of w: the row slice and a
     (2, rows, n) array holding that block of 2**shift * max(0, w) and of
     2**shift * max(0, -w). The array is overwritten by the next block.
+    Blocks hold max(_BLOCK_ROWS, _BLOCK_ENTRIES // n) rows, the last
+    one fewer.
 
     Both parts are exact entrywise: neg = pos - w is -w where w < 0 and
     w - w = 0 elsewhere.
     """
     n = w.shape[0]
-    buffer = np.empty((2, min(_BLOCK_ROWS, n), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        parts = buffer[:, : min(_BLOCK_ROWS, n - start)]
+    height = max(_BLOCK_ROWS, _BLOCK_ENTRIES // max(n, 1))
+    buffer = np.empty((2, min(height, n), n))
+    for start in range(0, n, height):
+        rows = slice(start, start + height)
+        parts = buffer[:, : min(height, n - start)]
         pos, neg = parts
         np.ldexp(w[rows], shift, out=neg)
         np.maximum(neg, 0.0, out=pos)
@@ -205,12 +215,6 @@ class EdgeListResult:
     isolated: list[int] = field(default_factory=list)
 
 
-def _tokenize(line: str) -> list[str]:
-    if "," in line:
-        return [t.strip() for t in line.split(",") if t.strip()]
-    return line.split()
-
-
 def load_edge_list(
     path: str | Path,
     labels_path: str | Path | None = None,
@@ -233,9 +237,9 @@ def load_edge_list(
     roster: list[str] | None = None
     if labels_path is not None:
         roster = [
-            ln.strip()
+            name
             for ln in Path(labels_path).read_text().splitlines()
-            if ln.strip() and not ln.startswith("#")
+            if (name := ln.strip()) and not ln.startswith("#")
         ]
 
     index: dict[str, int] = {}
@@ -244,13 +248,14 @@ def load_edge_list(
             if name in index:
                 raise ValueError(f"duplicate node label {name!r}")
             index[name] = i
+    # tokens already known to name a node: without a roster, those seen so
+    # far; with one, every label and every plain 1-based index no label shadows
+    known = index if roster is None else {str(i + 1): i for i in range(len(roster))} | index
 
     def resolve(token: str, line_no: int) -> int:
+        """The node of a token that is not in known."""
         if roster is None:
-            if token not in index:
-                index[token] = len(index)
-            return index[token]
-        if token in index:
+            index[token] = len(index)
             return index[token]
         try:
             i = int(token)
@@ -267,10 +272,13 @@ def load_edge_list(
 
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.partition("#")[0].strip()
             if not line:
                 continue
-            tokens = _tokenize(line)
+            if "," in line:
+                tokens = [t for t in map(str.strip, line.split(",")) if t]
+            else:
+                tokens = line.split()
             if first_data_line and len(tokens) >= 2:
                 # header detection: last column not numeric
                 try:
@@ -280,23 +288,27 @@ def load_edge_list(
                         first_data_line = False
                         continue
             first_data_line = False
-            if len(tokens) < 2 or len(tokens) > 3:
-                raise ParseError(line_no, f"expected 2 or 3 fields, got {len(tokens)}")
             if len(tokens) == 3:
                 try:
                     w = float(tokens[2])
                 except ValueError:
                     raise ParseError(line_no, f"bad weight {tokens[2]!r}") from None
-                if not np.isfinite(w):
+                if not math.isfinite(w):
                     raise ParseError(line_no, f"non-finite weight {tokens[2]!r}")
-            else:
+            elif len(tokens) == 2:
                 w = 1.0
-            i = resolve(tokens[0], line_no)
-            j = resolve(tokens[1], line_no)
+            else:
+                raise ParseError(line_no, f"expected 2 or 3 fields, got {len(tokens)}")
+            i = known.get(tokens[0])
+            if i is None:
+                i = resolve(tokens[0], line_no)
+            j = known.get(tokens[1])
+            if j is None:
+                j = resolve(tokens[1], line_no)
             if i == j:
                 self_dropped += 1
                 continue
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in accum:
                 duplicates += 1
                 accum[key] += w
@@ -305,10 +317,11 @@ def load_edge_list(
 
     n = len(roster) if roster is not None else len(index)
     weights = np.zeros((n, n))
-    for (i, j), w in accum.items():
-        weights[i, j] = w
-        weights[j, i] = w
-    labels = tuple(roster) if roster is not None else _names_in_order(index)
+    i, j = np.fromiter(chain.from_iterable(accum), dtype=np.intp, count=2 * len(accum)).reshape(-1, 2).T
+    w = np.fromiter(accum.values(), dtype=float, count=len(accum))
+    weights[np.concatenate([i, j]), np.concatenate([j, i])] = np.concatenate([w, w])
+    # without a roster, index holds the names in first-appearance order
+    labels = tuple(roster if roster is not None else index)
     graph = WeightedGraph(weights, labels if labels else None)
     return EdgeListResult(
         graph=graph,
@@ -316,13 +329,6 @@ def load_edge_list(
         duplicate_pairs=duplicates,
         isolated=graph.isolated_nodes(),
     )
-
-
-def _names_in_order(index: dict[str, int]) -> tuple[str, ...]:
-    names = [""] * len(index)
-    for name, i in index.items():
-        names[i] = name
-    return tuple(names)
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path | None = None) -> None:

@@ -47,9 +47,9 @@ __all__ = [
 
 # relative symmetry tolerance for eigensolver input
 _SYMMETRY_TOL = 1e-9
-# successive projection stops once the residual falls below this
-# fraction of its initial Frobenius norm
-_SP_RESIDUAL_TOL = 1e-12
+# successive projection stops once the residual's squared Frobenius norm
+# falls below this fraction of its initial value (a norm ratio of 1e-12)
+_SP_RESIDUAL_TOL = 1e-24
 # smallest matrix order decomposed by the partial solve. On 2 cores the
 # crossover lies between n = 112 (partial solve x1.14 of eigh's time)
 # and n = 160 (x0.83); below n = 96 eigh is clearly faster
@@ -122,9 +122,9 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     -x precedes x) and each eigenvector's sign is fixed by its
     largest-magnitude entry, so the result for k is bitwise the first k
     pairs of the result for any larger k. Raises ValueError when the
-    matrix is not symmetric within tolerance, or when the solver fails
-    or returns a non-finite eigenvalue or eigenvector (weights near the
-    float64 limit).
+    matrix has a non-finite entry or is not symmetric within tolerance,
+    or when the solver fails or returns a non-finite eigenvalue or
+    eigenvector (weights near the float64 limit).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -132,13 +132,18 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
+    # non-finite entries are caught with no new pass over an exactly
+    # symmetric m from n = 128: a NaN fails the exact symmetry test and the
+    # partial solve reads the peak anyway; below, eigh dwarfs the check
     if not np.array_equal(m, m.T):
+        _check_finite(m)
         if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
             raise ValueError("matrix is not symmetric within tolerance")
         m = 0.5 * (m + m.T)
 
     lapack = _lapack() if n >= _PARTIAL_MIN_N else None
     if lapack is None:
+        _check_finite(m)
         vals, full = np.linalg.eigh(m)
 
         def vectors_at(indices):
@@ -151,13 +156,18 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
         raise ValueError("eigendecomposition returned non-finite eigenpairs")
     nxt = float(abs(vals[order[k]])) if k < n else 0.0
     vals = vals[order[:k]]
-    for c in range(k):
-        lead = np.argmax(np.abs(vecs[:, c]))
-        if vecs[lead, c] < 0:
-            vecs[:, c] = -vecs[:, c]
+    # flip each column whose largest-magnitude entry (the first, on ties)
+    # is negative; multiplying by -1 or 1 is exact
+    lead = np.abs(vecs).argmax(axis=0)
+    vecs *= np.where(vecs[lead, np.arange(k)] < 0, -1.0, 1.0)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return TopKEigen(vectors=vecs, values=vals, next_magnitude=nxt)
+
+
+def _check_finite(m: np.ndarray | float) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
 
 
 @cache
@@ -229,6 +239,7 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
     # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
     a = np.array(m, order="C")
     peak = max(float(a.max()), -float(a.min()))
+    _check_finite(peak)
     shift = 0
     if not _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] and peak > 0.0:
         # exact: a power of two puts the largest |entry| in [1, 2)
@@ -389,18 +400,24 @@ def successive_projection(y: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for {m}x{r} input")
 
     residual = y.copy()
-    initial_norm = float(np.linalg.norm(residual))
     picked: list[int] = []
-    for _ in range(k):
-        if float(np.linalg.norm(residual)) <= _SP_RESIDUAL_TOL * initial_norm:
+    for step in range(k):
+        # one pass gives both the pick and the stop rule
+        norms = np.einsum("ij,ij->i", residual, residual)
+        idx = int(norms.argmax())
+        if step == 0:
+            floor = _SP_RESIDUAL_TOL * float(norms.sum())
+        # a sum of nonnegative terms is at least its largest one, so the
+        # sum is formed only when that term alone does not clear the floor
+        if norms[idx] <= floor and float(norms.sum()) <= floor:
             break
-        idx = int(np.argmax(np.einsum("ij,ij->i", residual, residual)))
         if idx in picked:
             # residual is pure noise; nothing extreme left to find
             break
         picked.append(idx)
-        u = residual[idx].copy()
-        residual -= np.outer(residual @ u, u / float(u @ u))
+        # the right-hand side is formed before the update, so u may be a view
+        u = residual[idx]
+        residual -= (residual @ u)[:, None] * (u / float(u @ u))
     if len(picked) < k:
         warnings.warn(
             f"successive projection found {len(picked)} of {k} requested "

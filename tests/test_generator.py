@@ -319,3 +319,17 @@ def test_spec_round_trips_through_dict():
     assert restored.seed == spec.seed
     assert restored.sparsity == spec.sparsity
     assert restored.distribution == spec.distribution
+
+
+def test_spec_equality_compares_arrays_by_value():
+    spec = standard_spec(Family.BERNOULLI, rho=0.4, n=20, pure=4, seed=17, sparsity=0.9)
+    restored = GeneratorSpec.from_dict(spec.to_dict())
+    assert (restored == spec) is True
+    assert (restored.connectivity == spec.connectivity) is True
+    memberships = spec.memberships.copy()
+    memberships[-1] = memberships[0]
+    assert not np.array_equal(memberships, spec.memberships)
+    assert GeneratorSpec.from_dict({**spec.to_dict(), "memberships": memberships.tolist()}) != spec
+    other = check_connectivity(P_NONNEG.T[::-1, ::-1], spec.distribution)
+    assert not np.array_equal(other.entries, spec.connectivity.entries)
+    assert other != spec.connectivity

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mmdf.graph import (
     ParseError,
     WeightedGraph,
+    _BLOCK_ENTRIES,
     _BLOCK_ROWS,
     _sign_blocks,
     load_edge_list,
@@ -92,9 +93,11 @@ class TestLoader:
 
     def test_nonfinite_weight_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
-        path.write_text("1 2 inf\n")
-        with pytest.raises(ParseError, match="non-finite"):
-            load_edge_list(path)
+        for token in ("nan", "inf", "-inf"):
+            path.write_text(f"1 2 1\n# comment\n2 3 {token}\n")
+            with pytest.raises(ParseError, match="non-finite") as exc:
+                load_edge_list(path)
+            assert exc.value.line_no == 3
 
     def test_roster_fixes_order_and_reports_isolated(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -211,19 +214,23 @@ class TestSignSplit:
         assert np.array_equal(s.neg_degrees, [1.0, 0.0, 1.0])
 
     def test_reconstruction_and_disjoint_support(self, rng):
-        # n spans two full row blocks and a partial one
-        n = 2 * _BLOCK_ROWS + 5
-        w = rng.normal(size=(n, n))
-        w = w + w.T
-        np.fill_diagonal(w, 0.0)
-        s = sign_split(WeightedGraph(w))
-        blocks = [(rows, parts.copy()) for rows, parts in _sign_blocks(w, s.shift)]
-        assert [rows for rows, _ in blocks] == [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
-        pos, neg = np.concatenate([parts for _, parts in blocks], axis=1)
-        dense_pos, dense_neg = dense_parts(w, s.shift)
-        assert np.array_equal(pos, dense_pos) and np.array_equal(neg, dense_neg)
-        assert np.array_equal(pos - neg, np.ldexp(w, s.shift))
-        assert np.all(pos * neg == 0.0)
-        assert np.array_equal(s.pos_degrees, pos.sum(axis=1))
-        assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
-        assert s.pos_mass == pos.sum(axis=1).sum() / 2.0
+        # one block up to 128 nodes, two blocks of the entry budget just
+        # above, and _BLOCK_ROWS-row blocks with a partial one from 256
+        for n, count in [(77, 1), (133, 2), (4 * _BLOCK_ROWS + 5, 5)]:
+            w = rng.normal(size=(n, n))
+            w = w + w.T
+            np.fill_diagonal(w, 0.0)
+            s = sign_split(WeightedGraph(w))
+            blocks = [(rows, parts.copy()) for rows, parts in _sign_blocks(w, s.shift)]
+            height = max(_BLOCK_ROWS, _BLOCK_ENTRIES // n)
+            assert [rows for rows, _ in blocks] == [slice(i, i + height) for i in range(0, n, height)]
+            assert len(blocks) == count
+            pos, neg = np.concatenate([parts for _, parts in blocks], axis=1)
+            dense_pos, dense_neg = dense_parts(w, s.shift)
+            assert np.array_equal(pos, dense_pos) and np.array_equal(neg, dense_neg)
+            assert np.array_equal(pos - neg, np.ldexp(w, s.shift))
+            assert np.all(pos * neg == 0.0)
+            assert np.array_equal(s.pos_degrees, pos.sum(axis=1))
+            assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
+            assert s.pos_mass == pos.sum(axis=1).sum() / 2.0
+            assert s.neg_mass == neg.sum(axis=1).sum() / 2.0

@@ -83,6 +83,19 @@ class TestRunSimulation:
         run_simulation(config)
         assert built == []
 
+    def test_config_equality_compares_arrays_by_value(self):
+        # distinct but equal arrays in the generator spec compare equal
+        config = small_config()
+        restored = ExperimentConfig.from_dict(config.to_dict())
+        assert restored.generator.memberships is not config.generator.memberships
+        assert (restored == config) is True
+        memberships = config.generator.memberships.copy()
+        memberships[-1] = memberships[0]
+        assert not np.array_equal(memberships, config.generator.memberships)
+        changed = dataclasses.replace(config.generator, memberships=memberships)
+        assert changed != config.generator
+        assert dataclasses.replace(config, generator=changed) != config
+
     def test_csv_and_json_emission(self, tmp_path):
         report = run_simulation(small_config())
         csv_path = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -364,10 +365,17 @@ class TestLargeMatrices:
             top_k_eigen(m, 2)
 
     def test_rejects_non_finite_input(self, name):
-        m = np.zeros((N_PARTIAL, N_PARTIAL))
-        m[3, 5] = m[5, 3] = np.nan
-        with solver(name), pytest.raises(ValueError):
-            top_k_eigen(m, 2)
+        # the input is blamed, not the solver, on both sides of N_PARTIAL,
+        # whether the bad entry is mirrored (exactly symmetric) or not
+        for n in (3, N_PARTIAL + 2):
+            for bad in (np.nan, np.inf, -np.inf):
+                for mirrored in (True, False):
+                    m = np.zeros((n, n))
+                    m[0, 2] = bad
+                    if mirrored:
+                        m[2, 0] = bad
+                    with solver(name), pytest.raises(ValueError, match="non-finite entries"):
+                        top_k_eigen(m, 2)
 
 
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
@@ -477,7 +485,60 @@ def test_chunk_bounds_partition_without_splitting_clusters(clusters):
         assert asked == {i for c in b[1:-1] for i in (c - 1, c)}
 
 
+def norm_call_successive_projection(y, k):
+    """Successive projection as first written: the stop rule from a
+    np.linalg.norm call per step, the pick from a separate row-norm pass,
+    and the update through np.outer. Returns (picks, early stop)."""
+    residual = np.asarray(y, dtype=float).copy()
+    initial_norm = float(np.linalg.norm(residual))
+    picked = []
+    for _ in range(k):
+        if float(np.linalg.norm(residual)) <= 1e-12 * initial_norm:
+            break
+        idx = int(np.argmax(np.einsum("ij,ij->i", residual, residual)))
+        if idx in picked:
+            break
+        picked.append(idx)
+        u = residual[idx].copy()
+        residual -= np.outer(residual @ u, u / float(u @ u))
+    return picked, len(picked) < k
+
+
+def point_cloud(rng, kind):
+    """A random cloud, one whose columns span ten decades, simplex rows
+    (with repeated pure rows) mapped through a random basis, or a
+    rank-deficient product; and a k to hunt for."""
+    m, r = int(rng.integers(1, 25)), int(rng.integers(1, 7))
+    if kind == "cloud":
+        return rng.normal(size=(m, r)), int(rng.integers(1, min(m, r) + 1))
+    if kind == "graded":
+        y = rng.normal(size=(m, r)) * 10.0 ** -rng.uniform(0, 10, size=r)
+        return y, int(rng.integers(1, min(m, r) + 1))
+    if kind == "simplex":
+        k = int(rng.integers(1, r + 1))
+        pure = np.repeat(np.eye(k), rng.integers(1, 4, size=k), axis=0)
+        rows = np.vstack([pure, rng.dirichlet(np.ones(k), size=m)])
+        return rows[rng.permutation(len(rows))] @ rng.normal(size=(k, r)), k
+    rank = int(rng.integers(0, r))
+    y = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, r))
+    y[rng.random(m) < 0.2] = 0.0
+    return y, int(rng.integers(1, min(m, r) + 1))
+
+
 class TestSuccessiveProjection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["cloud", "graded", "simplex", "rank-deficient"]))
+    def test_matches_the_norm_call_formulation(self, seed, kind):
+        # one row-norm pass per pick gives the same picks, early stops and
+        # warnings as a separate Frobenius norm per step
+        y, k = point_cloud(np.random.default_rng(seed), kind)
+        expected, stopped = norm_call_successive_projection(y, k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            picked = successive_projection(y, k)
+        assert picked.tolist() == expected
+        assert [w.category for w in caught] == ([EarlyStopWarning] if stopped else [])
+
     def test_identity_rows_in_index_order(self):
         picked = successive_projection(np.eye(3), 3)
         assert picked.tolist() == [0, 1, 2]
