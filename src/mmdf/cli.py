@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +44,22 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+@contextmanager
+def _exit_codes(config_prefix: str = ""):
+    """Every command's error policy, applied as a decorator: an OSError
+    exits 3, a ValueError or KeyError 2 (its message after
+    config_prefix), an EstimationError 4, each with one ``error:`` line
+    instead of a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_IO, str(exc))
+    except (ValueError, KeyError) as exc:
+        _fail(EXIT_CONFIG, f"{config_prefix}{exc}")
+    except EstimationError as exc:
+        _fail(EXIT_ESTIMATION, f"estimation failed at stage {exc.stage!r}: {exc}")
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -56,25 +73,18 @@ def main() -> None:
 @click.option("--profile", type=click.Choice(sorted(PROFILES)), default=None,
               help="Replication profile override (paper=100, ci=25).")
 @click.option("--workers", type=int, default=1, show_default=True)
+# a ValueError from the run is a draw no solver takes (weights near the float64 limit)
+@_exit_codes("bad config: ")
 def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | None, workers: int) -> None:
     """Run a Monte Carlo sweep and write sweep.csv / sweep.json."""
-    try:
-        config = ExperimentConfig.from_json(config_path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read config: {exc}")
-    except (ValueError, KeyError) as exc:
-        _fail(EXIT_CONFIG, f"bad config: {exc}")
+    config = ExperimentConfig.from_json(config_path)
     if seed is not None:
         config = replace(config, seed=seed)
     if profile is not None:
         config = replace(config, profile=profile, replications=PROFILES[profile])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        report = run_simulation(config, workers=workers)
-    except ValueError as exc:
-        # sampling or decomposition rejected a draw (weights near the float64 limit)
-        _fail(EXIT_CONFIG, str(exc))
+    report = run_simulation(config, workers=workers)
     report.write_csv(out / "sweep.csv")
     report.write_json(out / "sweep.json")
     click.echo(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
@@ -86,20 +96,11 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
 @click.option("--k-max", type=int, default=None, help="Scan ceiling for automatic selection.")
 @click.option("--labels", "labels_path", type=click.Path(), default=None, help="Node roster sidecar.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
+@_exit_codes()
 def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str | None, out_dir: str) -> None:
     """Estimate memberships for one edge-list graph."""
-    try:
-        graph = load_edge_list(graph_path, labels_path=labels_path).graph
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        report = detect_graph(graph, k=k, k_max=k_max)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except EstimationError as exc:
-        _fail(EXIT_ESTIMATION, f"estimation failed at stage {exc.stage!r}: {exc}")
+    graph = load_edge_list(graph_path, labels_path=labels_path)
+    report = detect_graph(graph, k=k, k_max=k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_membership_csv(report.memberships, out / "memberships.csv")
@@ -121,22 +122,13 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
 @click.option("--k-max", type=int, default=None)
 @click.option("--labels", "labels_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
+@_exit_codes()
 def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir: str) -> None:
     """Write the modularity-vs-k curve for one graph."""
     from .modularity import estimate_k
 
-    try:
-        graph = load_edge_list(graph_path, labels_path=labels_path).graph
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        scan = estimate_k(graph, k_max=k_max)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except EstimationError as exc:
-        _fail(EXIT_ESTIMATION, str(exc))
+    graph = load_edge_list(graph_path, labels_path=labels_path)
+    scan = estimate_k(graph, k_max=k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,q"]
@@ -152,6 +144,7 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
 @click.option("--k-max", type=int, default=8, show_default=True)
 @click.option("--cache", "cache_dir", type=click.Path(), default=None, help="Downloaded-dataset cache directory.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
+@_exit_codes()
 def datasets(names: tuple[str, ...], k_max: int, cache_dir: str | None, out_dir: str) -> None:
     """Run the regression suite over registered real networks."""
     if k_max < 1:
@@ -164,11 +157,12 @@ def datasets(names: tuple[str, ...], k_max: int, cache_dir: str | None, out_dir:
     out.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(rows, out / "datasets.csv")
     for r in rows:
-        if r.notice:
+        if r.best_k is None:
             click.echo(f"{r.name}: skipped ({r.notice})")
         else:
             mis = "" if r.mislabels is None else f" mislabels={r.mislabels}"
-            click.echo(f"{r.name}: n={r.n} best_k={r.best_k} q={r.q_best:.4f}{mis}")
+            notice = f" ({r.notice})" if r.notice else ""
+            click.echo(f"{r.name}: n={r.n} best_k={r.best_k} q={r.q_best:.4f}{mis}{notice}")
     click.echo(f"available: {', '.join(available_datasets(cache_dir))}")
 
 

@@ -94,18 +94,16 @@ def load_dataset(name: str, cache_dir: Path | str | None = None) -> Dataset:
             f"dataset {name!r} not found at {edges_path}; run "
             "scripts/fetch_datasets.py to download it"
         )
-    result = load_edge_list(edges_path, labels_path=labels_path if labels_path and labels_path.exists() else None)
+    graph = load_edge_list(edges_path, labels_path=labels_path if labels_path and labels_path.exists() else None)
     truth = None
     if truth_path is not None and truth_path.exists():
         labels = np.array(
             [int(ln) for ln in truth_path.read_text().split()], dtype=int
         )
-        if len(labels) != result.graph.n:
-            raise ValueError(
-                f"{truth_path} has {len(labels)} labels for {result.graph.n} nodes"
-            )
+        if len(labels) != graph.n:
+            raise ValueError(f"{truth_path} has {len(labels)} labels for {graph.n} nodes")
         truth = GroundTruth(labels=labels)
-    return Dataset(info=info, graph=result.graph, truth=truth)
+    return Dataset(info=info, graph=graph, truth=truth)
 
 
 def available_datasets(cache_dir: Path | str | None = None) -> list[str]:

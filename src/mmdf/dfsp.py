@@ -9,12 +9,11 @@ generating membership matrix exactly, up to column permutation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EarlyStopWarning, TopKEigen, successive_projection, top_k_eigen
+from .spectral import TopKEigen, successive_projection, top_k_eigen
 
 __all__ = [
     "DfspReport",
@@ -87,9 +86,7 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     result is invariant to sign flips of any column of `vectors`.
     """
     n, k = vectors.shape
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EarlyStopWarning)
-        vertices = successive_projection(vectors, k)
+    vertices = successive_projection(vectors, k)
     if len(vertices) < k:
         raise EstimationError(
             "vertex-hunting",

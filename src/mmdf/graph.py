@@ -8,7 +8,7 @@ self-edges are not represented (the diagonal is always zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -19,7 +19,6 @@ __all__ = [
     "WeightedGraph",
     "SignSplit",
     "GroundTruth",
-    "EdgeListResult",
     "ParseError",
     "load_edge_list",
     "write_edge_list",
@@ -81,11 +80,6 @@ class WeightedGraph:
         # computed once per graph: scoring every k of a community-count
         # scan reuses it
         return sign_split(self)
-
-    def isolated_nodes(self) -> list[int]:
-        """Indices of nodes with no incident nonzero weight."""
-        deg = np.count_nonzero(self.weights, axis=1)
-        return [int(i) for i in np.flatnonzero(deg == 0)]
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,8 @@ class GroundTruth:
 
     labels: hard community index per node (0-based), or None.
     memberships: (n, K) row-stochastic soft assignment, or None.
-    When both are given, labels must equal the row argmax of memberships.
+    Labels default to the row argmax of memberships; when both are
+    given, labels must equal it.
     """
 
     labels: np.ndarray | None = None
@@ -187,8 +182,11 @@ class GroundTruth:
             m = np.asarray(self.memberships, dtype=float)
             m.setflags(write=False)
             object.__setattr__(self, "memberships", m)
-        if self.labels is not None and self.memberships is not None:
-            if not np.array_equal(self.labels, np.argmax(self.memberships, axis=1)):
+            argmax = np.argmax(m, axis=1)
+            if self.labels is None:
+                argmax.setflags(write=False)
+                object.__setattr__(self, "labels", argmax)
+            elif not np.array_equal(self.labels, argmax):
                 raise ValueError("labels disagree with membership row argmax")
 
     @property
@@ -200,25 +198,10 @@ class GroundTruth:
         return None
 
 
-@dataclass
-class EdgeListResult:
-    """Outcome of parsing an edge list.
-
-    self_edges_dropped counts records with identical endpoints (their
-    node identifiers are still registered). duplicate_pairs counts
-    repeated (i, j) records, whose weights were summed.
-    """
-
-    graph: WeightedGraph
-    self_edges_dropped: int = 0
-    duplicate_pairs: int = 0
-    isolated: list[int] = field(default_factory=list)
-
-
 def load_edge_list(
     path: str | Path,
     labels_path: str | Path | None = None,
-) -> EdgeListResult:
+) -> WeightedGraph:
     """Read a whitespace- or comma-separated edge list into a graph.
 
     Each record is ``src dst [weight]``; a missing weight defaults to 1.
@@ -229,9 +212,9 @@ def load_edge_list(
     roster (one label per line), in which case identifiers must match a
     label or be a 1-based index into the roster.
 
-    Duplicate (i, j) records are summed. Self-edge records are dropped
-    and counted. Raises ParseError with the offending line number on
-    malformed input.
+    Duplicate (i, j) records are summed. Self-edge records are dropped;
+    their node identifiers are still registered. Raises ParseError with
+    the offending line number on malformed input.
     """
     path = Path(path)
     roster: list[str] | None = None
@@ -266,8 +249,6 @@ def load_edge_list(
         return i - 1
 
     accum: dict[tuple[int, int], float] = {}
-    self_dropped = 0
-    duplicates = 0
     first_data_line = True
 
     with open(path) as fh:
@@ -306,11 +287,9 @@ def load_edge_list(
             if j is None:
                 j = resolve(tokens[1], line_no)
             if i == j:
-                self_dropped += 1
                 continue
             key = (i, j) if i < j else (j, i)
             if key in accum:
-                duplicates += 1
                 accum[key] += w
             else:
                 accum[key] = w
@@ -322,13 +301,7 @@ def load_edge_list(
     weights[np.concatenate([i, j]), np.concatenate([j, i])] = np.concatenate([w, w])
     # without a roster, index holds the names in first-appearance order
     labels = tuple(roster if roster is not None else index)
-    graph = WeightedGraph(weights, labels if labels else None)
-    return EdgeListResult(
-        graph=graph,
-        self_edges_dropped=self_dropped,
-        duplicate_pairs=duplicates,
-        isolated=graph.isolated_nodes(),
-    )
+    return WeightedGraph(weights, labels if labels else None)
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path | None = None) -> None:

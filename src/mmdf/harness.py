@@ -223,7 +223,7 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
 @dataclass(frozen=True)
 class DatasetRow:
     """One dataset's worth of suite output (blank fields were not
-    computable: no curated truth, or the dataset was missing)."""
+    computable: no curated truth, or the notice says why)."""
 
     name: str
     n: int | None
@@ -246,7 +246,7 @@ def run_dataset_suite(
     failing the suite. Each graph is decomposed once and each count is
     fitted once: the selected count's fit and score, and the curated
     count's fit when the scan reached it, are read off the scan; only a
-    curated count the scan did not fit is fitted from the same spectrum.
+    curated count the scan did not reach is fitted from the spectrum.
     """
     rows = []
     for name in names or list(DATASETS):
@@ -267,11 +267,20 @@ def run_dataset_suite(
             continue
         best = scan.point(scan.best_k)
         eta = mixedness_indices(best.report.memberships)
-        mislabels = None
+        mislabels = notice = None
         if true_k is not None:
             at_true = scan.point(true_k)
-            truth_report = at_true.report if at_true is not None and at_true.ok else dfsp(spectrum, true_k)
-            mislabels = mislabel_count(harden(truth_report.memberships), ds.truth.labels)
+            if at_true is not None:
+                report, failure = at_true.report, at_true.failure
+            else:
+                try:
+                    report, failure = dfsp(spectrum, true_k), None
+                except EstimationError as exc:
+                    report, failure = None, f"{exc.stage}: {exc}"
+            if report is None:
+                notice = f"no fit at the curated k={true_k}: {failure}"
+            else:
+                mislabels = mislabel_count(harden(report.memberships), ds.truth.labels)
         rows.append(
             DatasetRow(
                 name=name,
@@ -281,6 +290,7 @@ def run_dataset_suite(
                 eta_mixed=eta.eta_mixed,
                 eta_pure=eta.eta_pure,
                 mislabels=mislabels,
+                notice=notice,
             )
         )
     return rows

@@ -32,7 +32,6 @@ take prefixes with TopKEigen.head.
 from __future__ import annotations
 
 import ctypes
-import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -42,7 +41,6 @@ __all__ = [
     "TopKEigen",
     "top_k_eigen",
     "successive_projection",
-    "EarlyStopWarning",
 ]
 
 # relative symmetry tolerance for eigensolver input
@@ -71,11 +69,6 @@ _CLUSTER_TOL = 1e-6
 # LAPACK's safe range for a matrix's largest |entry| (dsyevd's RMIN and
 # RMAX); outside it the partial solve rescales by a power of two
 _SAFE_PEAK = (2.0**-485, 2.0**485)
-
-
-class EarlyStopWarning(UserWarning):
-    """Successive projection ran out of residual mass before finding
-    the requested number of vertices."""
 
 
 @dataclass(frozen=True)
@@ -387,8 +380,8 @@ def successive_projection(y: np.ndarray, k: int) -> np.ndarray:
     rows onto the orthogonal complement of the picked row, and repeats.
     Ties break toward the smallest row index. If the residual becomes
     numerically zero (Frobenius norm <= 1e-12 of its initial value)
-    before k rows are found, the selection stops early: the returned
-    index array is shorter than k and an EarlyStopWarning is issued.
+    before k rows are found, the selection stops early and returns fewer
+    than k indices.
 
     Returns the selected row indices in pick order.
     """
@@ -418,11 +411,4 @@ def successive_projection(y: np.ndarray, k: int) -> np.ndarray:
         # the right-hand side is formed before the update, so u may be a view
         u = residual[idx]
         residual -= (residual @ u)[:, None] * (u / float(u @ u))
-    if len(picked) < k:
-        warnings.warn(
-            f"successive projection found {len(picked)} of {k} requested "
-            "vertices before the residual vanished",
-            EarlyStopWarning,
-            stacklevel=2,
-        )
     return np.array(picked, dtype=int)

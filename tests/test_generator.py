@@ -5,6 +5,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mmdf.generator import (
     ConnectivityError,
+    ConnectivityMatrix,
     DisconnectedSampleWarning,
     EdgeDistribution,
     Family,
@@ -96,11 +97,23 @@ class TestRhoRanges:
             (Family.POISSON, 7.0, True),
             (Family.UNIFORM, 20.0, True),
             (Family.NORMAL, 0.0, False),
+            (Family.NORMAL, np.inf, False),
+            (Family.POISSON, np.inf, False),
+            (Family.UNIFORM, np.inf, False),
+            (Family.POINT_MASS, np.inf, False),
+            (Family.POINT_MASS, 1e300, True),
+            (Family.UNIFORM, np.nan, False),
+            (Family.BERNOULLI, np.nan, False),
         ],
     )
     def test_admissibility(self, family, rho, ok):
         sigma2 = 1.0 if family is Family.NORMAL else None
-        assert EdgeDistribution(family, sigma2=sigma2).rho_admissible(rho) is ok
+        distribution = EdgeDistribution(family, sigma2=sigma2)
+        if ok:
+            distribution.check_rho(rho)
+        else:
+            with pytest.raises(ValueError, match="admissible range"):
+                distribution.check_rho(rho)
 
 
 class TestPopulation:
@@ -259,12 +272,14 @@ class TestSampling:
         se = np.sqrt(2.0 * np.maximum(theory, 1e-12) ** 2 / reps)
         assert np.all(np.abs(emp_var - theory) <= 6.0 * se + 1e-6)
 
-    def test_poisson_negative_mean_rejected(self):
-        from mmdf.generator import _draw_weights
-
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            _draw_weights(rng, np.array([0.5, -0.1]), EdgeDistribution(Family.POISSON))
+    @pytest.mark.parametrize("family", [Family.POISSON, Family.UNIFORM])
+    def test_negative_mean_rejected_by_the_spec(self, family):
+        # a connectivity matrix built without check_connectivity still
+        # cannot reach the sampler with a negative mean
+        p = ConnectivityMatrix(entries=np.array([[1.0, -0.5], [-0.5, 1.0]]), sigma_k=0.5)
+        with pytest.raises(ValueError, match=f"outside the {family.value} family's domain"):
+            GeneratorSpec(memberships=np.eye(2), connectivity=p, rho=1.0,
+                          distribution=EdgeDistribution(family))
 
 
 class TestSparsityMask:

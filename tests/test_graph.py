@@ -46,8 +46,7 @@ class TestLoader:
     def test_single_record(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1 2 3.5\n")
-        result = load_edge_list(path)
-        g = result.graph
+        g = load_edge_list(path)
         assert g.n == 2
         assert g.weights[0, 1] == 3.5
         assert g.weights[1, 0] == 3.5
@@ -55,35 +54,33 @@ class TestLoader:
     def test_weight_defaults_to_one(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a b\nb c 2\n")
-        g = load_edge_list(path).graph
+        g = load_edge_list(path)
         assert g.weights[0, 1] == 1.0
         assert g.weights[1, 2] == 2.0
         assert g.node_labels == ("a", "b", "c")
 
-    def test_self_edge_dropped_with_count(self, tmp_path):
+    def test_self_edge_dropped_and_its_node_registered(self, tmp_path):
         path = tmp_path / "g.edges"
-        path.write_text("1 1 9\n")
-        result = load_edge_list(path)
-        assert result.self_edges_dropped == 1
-        assert result.graph.n == 1
-        assert np.count_nonzero(np.triu(result.graph.weights, 1)) == 0
+        path.write_text("1 2 3\n3 3 9\n")
+        g = load_edge_list(path)
+        assert g.node_labels == ("1", "2", "3")
+        assert np.array_equal(g.weights, [[0.0, 3.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1 2 1.5\n2 1 2.5\n")
-        result = load_edge_list(path)
-        assert result.duplicate_pairs == 1
-        assert result.graph.weights[0, 1] == 4.0
+        g = load_edge_list(path)
+        assert np.array_equal(g.weights, [[0.0, 4.0], [4.0, 0.0]])
 
     def test_comments_and_header_skipped(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# a comment\nsrc dst weight\n1 2 1\n")
-        assert load_edge_list(path).graph.n == 2
+        assert load_edge_list(path).n == 2
 
     def test_comma_separated(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1,2,0.5\n")
-        assert load_edge_list(path).graph.weights[0, 1] == 0.5
+        assert load_edge_list(path).weights[0, 1] == 0.5
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -99,23 +96,21 @@ class TestLoader:
                 load_edge_list(path)
             assert exc.value.line_no == 3
 
-    def test_roster_fixes_order_and_reports_isolated(self, tmp_path):
+    def test_roster_fixes_order_and_keeps_isolated_nodes(self, tmp_path):
         edges = tmp_path / "g.edges"
         labels = tmp_path / "g.labels"
         edges.write_text("beta gamma 2\n")
         labels.write_text("alpha\nbeta\ngamma\n")
-        result = load_edge_list(edges, labels_path=labels)
-        assert result.graph.n == 3
-        assert result.graph.node_labels == ("alpha", "beta", "gamma")
-        assert result.graph.weights[1, 2] == 2.0
-        assert result.isolated == [0]
+        g = load_edge_list(edges, labels_path=labels)
+        assert g.node_labels == ("alpha", "beta", "gamma")
+        assert np.array_equal(g.weights, [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
 
     def test_roster_accepts_one_based_indices(self, tmp_path):
         edges = tmp_path / "g.edges"
         labels = tmp_path / "g.labels"
         edges.write_text("1 3 -2\n")
         labels.write_text("alpha\nbeta\ngamma\n")
-        g = load_edge_list(edges, labels_path=labels).graph
+        g = load_edge_list(edges, labels_path=labels)
         assert g.weights[0, 2] == -2.0
 
     def test_unknown_name_with_roster_fails(self, tmp_path):
@@ -137,7 +132,7 @@ def test_round_trip_exact(tmp_path, rng):
     g = WeightedGraph(w)
     edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
     write_edge_list(g, edges, labels_path=labels)
-    reloaded = load_edge_list(edges, labels_path=labels).graph
+    reloaded = load_edge_list(edges, labels_path=labels)
     assert np.array_equal(reloaded.weights, g.weights)
 
 
@@ -157,7 +152,7 @@ def test_round_trip_over_label_text(labels, seed):
     with tempfile.TemporaryDirectory() as d:
         edges, roster = Path(d) / "g.edges", Path(d) / "g.labels"
         write_edge_list(g, edges, labels_path=roster)
-        reloaded = load_edge_list(edges, labels_path=roster).graph
+        reloaded = load_edge_list(edges, labels_path=roster)
     assert reloaded.node_labels == g.node_labels
     assert np.array_equal(reloaded.weights, g.weights)
 

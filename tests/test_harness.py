@@ -293,6 +293,52 @@ class TestCli:
         assert lines[0].startswith("dataset,")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("k_max", [8, 1], ids=["scanned", "beyond-scan"])
+    def test_datasets_no_fit_at_the_curated_count_is_a_notice(self, tmp_path, k_max):
+        # three disjoint triangles: |λ| = 2, 2, 2, so the curated k = 2 is a tie,
+        # whether the scan reached it or not
+        (tmp_path / "polblogs.edges").write_text(
+            "".join(f"{3 * t + a} {3 * t + b}\n" for t in range(3) for a, b in ((1, 2), (2, 3), (3, 1)))
+        )
+        (tmp_path / "polblogs.truth").write_text("0\n" * 3 + "1\n" * 6)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "datasets", "--only", "polblogs", "--k-max", str(k_max),
+            "--cache", str(tmp_path), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "skipped" not in result.output
+        assert "no fit at the curated k=2: eigendecomposition:" in result.output
+        row = (out / "datasets.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == ["polblogs", "9", "3" if k_max == 8 else "1"]
+        assert row[6] == ""
+        assert "equal magnitude" in row[7]
+
+    @pytest.mark.parametrize("edges, truth, message", [
+        ("1 2\n2 3\n", "0\n1\n", "has 2 labels for 3 nodes"),
+        ("1 2\n2 3 zzz\n", "0\n1\n0\n", "line 2: bad weight"),
+    ], ids=["truth-length", "parse-error"])
+    def test_datasets_malformed_cache_exits_2(self, tmp_path, edges, truth, message):
+        (tmp_path / "polblogs.edges").write_text(edges)
+        (tmp_path / "polblogs.truth").write_text(truth)
+        result = CliRunner().invoke(main, [
+            "datasets", "--only", "polblogs", "--cache", str(tmp_path), "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("error: ") == 1
+        assert message in result.output
+
+    def test_simulate_infinite_rho_exits_2(self, tmp_path):
+        payload = small_config(Family.UNIFORM).to_dict()
+        payload["sweep_values"] = [float("inf")]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))  # writes Infinity
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: bad config: rho=inf outside the admissible range" in result.output
+
     def test_datasets_unknown_name_exits_2(self):
         result = CliRunner().invoke(main, ["datasets", "--only", "nope"])
         assert result.exit_code == 2

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mmdf import spectral
-from mmdf.spectral import EarlyStopWarning, successive_projection, top_k_eigen
+from mmdf.spectral import successive_projection, top_k_eigen
 
 # smallest order that takes the partial LAPACK solve
 N_PARTIAL = spectral._PARTIAL_MIN_N
@@ -488,7 +488,7 @@ def test_chunk_bounds_partition_without_splitting_clusters(clusters):
 def norm_call_successive_projection(y, k):
     """Successive projection as first written: the stop rule from a
     np.linalg.norm call per step, the pick from a separate row-norm pass,
-    and the update through np.outer. Returns (picks, early stop)."""
+    and the update through np.outer. Returns the picks."""
     residual = np.asarray(y, dtype=float).copy()
     initial_norm = float(np.linalg.norm(residual))
     picked = []
@@ -501,7 +501,7 @@ def norm_call_successive_projection(y, k):
         picked.append(idx)
         u = residual[idx].copy()
         residual -= np.outer(residual @ u, u / float(u @ u))
-    return picked, len(picked) < k
+    return picked
 
 
 def point_cloud(rng, kind):
@@ -529,15 +529,16 @@ class TestSuccessiveProjection:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["cloud", "graded", "simplex", "rank-deficient"]))
     def test_matches_the_norm_call_formulation(self, seed, kind):
-        # one row-norm pass per pick gives the same picks, early stops and
-        # warnings as a separate Frobenius norm per step
+        # one row-norm pass per pick gives the same picks and early stops
+        # as a separate Frobenius norm per step; an early stop shows only
+        # as a short result, with no warning
         y, k = point_cloud(np.random.default_rng(seed), kind)
-        expected, stopped = norm_call_successive_projection(y, k)
+        expected = norm_call_successive_projection(y, k)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             picked = successive_projection(y, k)
         assert picked.tolist() == expected
-        assert [w.category for w in caught] == ([EarlyStopWarning] if stopped else [])
+        assert caught == []
 
     def test_identity_rows_in_index_order(self):
         picked = successive_projection(np.eye(3), 3)
@@ -566,14 +567,16 @@ class TestSuccessiveProjection:
         # and the picked rows are the pure ones
         assert sorted(np.argsort(perm)[:k].tolist()) == sorted(picked.tolist())
 
-    def test_early_termination_warns_and_returns_short(self):
+    def test_early_termination_returns_short(self):
         y = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])  # rank 1
-        with pytest.warns(EarlyStopWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             picked = successive_projection(y, 2)
-        assert len(picked) == 1
+        assert picked.tolist() == [2]
 
     def test_zero_matrix_terminates_immediately(self):
-        with pytest.warns(EarlyStopWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             picked = successive_projection(np.zeros((4, 2)), 2)
         assert len(picked) == 0
 
