@@ -112,6 +112,10 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
         "eta_pure": report.eta_pure,
         "eigenvalue_magnitudes": list(report.eigenvalue_magnitudes),
         "spectral_gap": report.spectral_gap,
+        "vertex_indices": report.fit.vertex_indices.tolist(),
+        "clipped_rows": report.fit.clipped_rows,
+        "degenerate_rows": report.fit.degenerate_rows,
+        "corner_condition": report.fit.corner_condition,
     }
     (out / "detect.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     click.echo(f"k={report.best_k} q={report.q:.6f} (outputs in {out})")

@@ -56,6 +56,8 @@ class DfspReport:
     clipped_rows: rows where clipping removed negative mass.
     degenerate_rows: rows that were entirely nonpositive before
         normalization and were replaced by the uniform distribution.
+    corner_condition: 2-norm condition number of the corner rows that
+        were inverted.
     """
 
     memberships: np.ndarray
@@ -63,6 +65,7 @@ class DfspReport:
     eigen: TopKEigen
     clipped_rows: int
     degenerate_rows: int
+    corner_condition: float
 
 
 def validate_memberships(m: np.ndarray, tol: float = 1e-10) -> None:
@@ -78,10 +81,11 @@ def validate_memberships(m: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError("membership rows must sum to 1")
 
 
-def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, float]:
     """Vertex hunting + simplex inversion on eigenvector rows.
 
-    Returns (memberships, vertex_indices, clipped_rows, degenerate_rows).
+    Returns (memberships, vertex_indices, clipped_rows, degenerate_rows,
+    corner_condition).
     Shared by the adjacency-based and population-based entry points; the
     result is invariant to sign flips of any column of `vectors`.
     """
@@ -117,7 +121,7 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
         clipped[degenerate] = 1.0 / k
     memberships = clipped / row_sums[:, None]
     memberships.setflags(write=False)
-    return memberships, vertices, clipped_rows, degenerate_rows
+    return memberships, vertices, clipped_rows, degenerate_rows, cond
 
 
 def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
@@ -158,13 +162,14 @@ def dfsp(a: np.ndarray | TopKEigen, k: int) -> DfspReport:
             f"(|eigenvalue {k}| = {kth:.6g}, |eigenvalue {k + 1}| = "
             f"{eigen.next_magnitude:.6g}); the top-{k} eigenspace is not identified",
         )
-    memberships, vertices, clipped, degenerate = memberships_from_vectors(eigen.vectors)
+    memberships, vertices, clipped, degenerate, cond = memberships_from_vectors(eigen.vectors)
     return DfspReport(
         memberships=memberships,
         vertex_indices=vertices,
         eigen=eigen,
         clipped_rows=clipped,
         degenerate_rows=degenerate,
+        corner_condition=cond,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from math import inf, sqrt
 
 import numpy as np
@@ -275,8 +276,11 @@ def _check_mean_domain(omega: np.ndarray, distribution: EdgeDistribution) -> Non
         lo, hi = 0.0, 1.0
     elif fam is Family.SIGNED:
         lo, hi = -1.0, 1.0
-    elif fam in (Family.POISSON, Family.UNIFORM):
+    elif fam is Family.POISSON:
         lo, hi = 0.0, np.inf
+    elif fam is Family.UNIFORM:
+        # the support [0, 2 * mean] must be finite
+        lo, hi = 0.0, np.finfo(float).max / 2.0
     else:
         return
     bad = (omega < lo) | (omega > hi)
@@ -327,20 +331,67 @@ def _component_count(adjacent: np.ndarray) -> int:
 
 
 def _draw_weights(rng: np.random.Generator, means: np.ndarray, distribution: EdgeDistribution) -> np.ndarray:
+    """One draw per mean, in order. Every family but the normal writes
+    its draws over means and returns it."""
     fam = distribution.family
     if fam is Family.NORMAL:
         return rng.normal(means, sqrt(distribution.sigma2))
     if fam is Family.BERNOULLI:
-        return (rng.random(means.shape) < means).astype(float)
-    if fam is Family.POISSON:
-        return rng.poisson(means).astype(float)
-    if fam is Family.UNIFORM:
-        return rng.uniform(0.0, 2.0 * means)
-    if fam is Family.SIGNED:
-        return np.where(rng.random(means.shape) < (1.0 + means) / 2.0, 1.0, -1.0)
-    if fam is Family.POINT_MASS:
-        return means.copy()
-    raise AssertionError(f"unhandled family {fam}")
+        np.less(rng.random(means.shape), means, out=means)
+    elif fam is Family.POISSON:
+        means[...] = rng.poisson(means)
+    elif fam is Family.UNIFORM:
+        # rng.uniform(0.0, 2 * mean) draws 0.0 + 2 * mean * u from the
+        # same stream, but also allocates the range 2 * mean - 0.0
+        means *= 2.0
+        means *= rng.random(means.shape)
+    elif fam is Family.SIGNED:
+        # P(+1) = (1 + mean) / 2, and 2 * [u < P(+1)] - 1 is exactly +-1
+        means += 1.0
+        means *= 0.5
+        np.less(rng.random(means.shape), means, out=means)
+        means *= 2.0
+        means -= 1.0
+    elif fam is not Family.POINT_MASS:
+        raise AssertionError(f"unhandled family {fam}")
+    return means
+
+
+# rows per tile when sampling folds the block mean onto its upper
+# triangle and mirrors the draws back: a tile of the transposed operand
+# (64 rows of W) stays in cache
+_TILE = 64
+
+
+@lru_cache(maxsize=4)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of an n x n matrix's strict upper triangle."""
+    upper = np.arange(n)[:, None] < np.arange(n)
+    upper.setflags(write=False)
+    return upper
+
+
+def _fold_onto_upper(a: np.ndarray) -> None:
+    """a[i, j] += a[j, i] for every i < j, in place, one tile of rows at
+    a time. Entries on and below the diagonal keep their values (a -0.0
+    may become +0.0)."""
+    n = a.shape[0]
+    for start in range(0, n, _TILE):
+        end = min(start + _TILE, n)
+        a[start:end, end:] += a[end:, start:end].T
+        tile = a[start:end, start:end]
+        tile += np.triu(tile.T, 1)
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Overwrite a's lower triangle with its strict upper one transposed
+    and zero the diagonal, one tile of rows at a time."""
+    n = a.shape[0]
+    for start in range(0, n, _TILE):
+        end = min(start + _TILE, n)
+        a[end:, start:end] = a[start:end, end:].T
+        upper = np.triu(a[start:end, start:end], 1)
+        np.add(upper, upper.T, out=a[start:end, start:end])
 
 
 def sample_adjacency(
@@ -359,26 +410,24 @@ def sample_adjacency(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    half = _block_mean(spec, 0.5)
-    n = spec.n
-    # strict upper triangle in row-major order; the means are
-    # population_adjacency's, averaged only where drawn. half goes before
-    # the draw and the means after it, so sampling never holds more than
-    # two n x n arrays' worth
-    upper = np.arange(n)[:, None] < np.arange(n)
-    means = half[upper]
-    means += half.T[upper]
-    del half
-    values = _draw_weights(rng, means, spec.distribution)
-    del means
+    # the means are population_adjacency's, half + half.T, formed in
+    # place above the diagonal and drawn from in row-major order; the
+    # draws overwrite the gathered means (but for the normal family) and
+    # go back into the same buffer, so sampling holds one n x n array
+    # beside the strict upper triangle's means and uniforms
+    a = _block_mean(spec, 0.5)
+    _fold_onto_upper(a)
+    upper = _strict_upper(spec.n)
+    values = _draw_weights(rng, a[upper], spec.distribution)
     if spec.sparsity is not None:
         values *= rng.random(values.shape) < spec.sparsity
     # + 0.0 turns the -0.0 of masked negative draws into +0.0
     values += 0.0
-    a = np.zeros((n, n))
     a[upper] = values
-    a.T[upper] = values
-    graph = WeightedGraph(a)
+    del values
+    _mirror_upper(a)
+    # exactly symmetric by construction, so only that test is skipped
+    graph = WeightedGraph(a, _exact_symmetric=True)
     if spec.sparsity is not None:
         n_components = _component_count(a != 0.0)
         if n_components > 1:

@@ -8,7 +8,7 @@ self-edges are not represented (the diagonal is always zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -34,12 +34,12 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _check_symmetric_zero_diag(w: np.ndarray) -> None:
+def _check_symmetric_zero_diag(w: np.ndarray, test_symmetry: bool = True) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("adjacency contains non-finite entries")
-    if not np.array_equal(w, w.T):
+    if test_symmetry and not np.array_equal(w, w.T):
         raise ValueError("adjacency must be exactly symmetric")
     if np.diagonal(w).any():
         raise ValueError("adjacency diagonal must be zero (no self-edges)")
@@ -53,14 +53,20 @@ class WeightedGraph:
         weights: (n, n) float array, exactly symmetric, zero diagonal,
             all entries finite. Any sign is allowed.
         node_labels: optional display names, one per node.
+
+    len(graph) is the node count n.
     """
 
     weights: np.ndarray
     node_labels: tuple[str, ...] | None = None
+    _: KW_ONLY
+    # for the sampler alone, whose matrices are exactly symmetric by
+    # construction: skips that one test and keeps every other check
+    _exact_symmetric: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _exact_symmetric: bool):
         w = np.asarray(self.weights, dtype=float)
-        _check_symmetric_zero_diag(w)
+        _check_symmetric_zero_diag(w, test_symmetry=not _exact_symmetric)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.node_labels is not None:
@@ -73,6 +79,9 @@ class WeightedGraph:
 
     @property
     def n(self) -> int:
+        return self.weights.shape[0]
+
+    def __len__(self) -> int:
         return self.weights.shape[0]
 
     @cached_property

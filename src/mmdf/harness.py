@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DATASETS, DatasetMissing, load_dataset
-from .dfsp import EstimationError, dfsp, harden
+from .dfsp import DfspReport, EstimationError, dfsp, harden
 from .generator import GeneratorSpec, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
@@ -165,7 +165,7 @@ def _run_replicate(args) -> tuple[float, float, int | None, str | None]:
     spec, seed_words, estimate_counts, k_scan_max = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
     graph, truth = sample_adjacency(spec, rng=rng)
-    spectrum = top_k_eigen(graph.weights, max(spec.k, k_scan_max) if estimate_counts else spec.k)
+    spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k)
     try:
         report = dfsp(spectrum, spec.k)
     except EstimationError as exc:
@@ -259,7 +259,7 @@ def run_dataset_suite(
         true_k = None
         if ds.truth is not None and ds.truth.labels is not None and ds.info.true_k:
             true_k = ds.info.true_k
-        spectrum = top_k_eigen(ds.graph.weights, max(scan_max, true_k or 0))
+        spectrum = top_k_eigen(ds.graph, max(scan_max, true_k or 0))
         try:
             scan = estimate_k(ds.graph, k_max=scan_max, eigen=spectrum)
         except EstimationError as exc:
@@ -315,7 +315,8 @@ def write_dataset_csv(rows: list[DatasetRow], path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class DetectReport:
-    """Single-network detection output."""
+    """Single-network detection output; fit is the report of the fit at
+    best_k, with its corners and clipping counts."""
 
     memberships: np.ndarray
     labels: np.ndarray
@@ -325,6 +326,7 @@ class DetectReport:
     eta_pure: float
     eigenvalue_magnitudes: tuple[float, ...]  # top k+1, for the spectral gap
     spectral_gap: float
+    fit: DfspReport
     scan: KScanResult | None = None
 
 
@@ -343,7 +345,7 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
     name, ceiling = ("k", k) if k is not None else ("k_max", k_max)
     if not 1 <= ceiling <= graph.n:
         raise ValueError(f"{name}={ceiling} out of range for n={graph.n}")
-    spectrum = top_k_eigen(graph.weights, min(ceiling + 1, graph.n))
+    spectrum = top_k_eigen(graph, min(ceiling + 1, graph.n))
     scan = None
     if k is None:
         scan = estimate_k(graph, k_max=k_max, eigen=spectrum)
@@ -364,6 +366,7 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
         eta_pure=eta.eta_pure,
         eigenvalue_magnitudes=mags,
         spectral_gap=gap,
+        fit=report,
         scan=scan,
     )
 

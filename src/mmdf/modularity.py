@@ -54,42 +54,62 @@ def _soft_modularity(part_m: np.ndarray, degrees: np.ndarray, mass: float, m: np
     return (edge_term - null_term) / two_m
 
 
-def fuzzy_weighted_modularity(g: WeightedGraph, memberships: np.ndarray) -> ModularityValue:
-    """Score a soft partition of a weighted (possibly signed) graph.
-
-    memberships must have one probability-vector row per node of g.
-    With a single community the positive and negative sums cancel
-    identically, so the score is returned as exact zero. An entirely
-    empty graph scores zero as well.
-    """
+def _checked_memberships(g: WeightedGraph, memberships: np.ndarray) -> np.ndarray:
     m = np.asarray(memberships, dtype=float)
     if m.ndim != 2 or m.shape[0] != g.n:
         raise ValueError(
             f"membership shape {m.shape} does not match graph with {g.n} nodes"
         )
     validate_memberships(m)
+    return m
+
+
+def fuzzy_weighted_modularity(
+    g: WeightedGraph,
+    memberships: np.ndarray | list[np.ndarray] | tuple[np.ndarray, ...],
+) -> ModularityValue | list[ModularityValue]:
+    """Score a soft partition of a weighted (possibly signed) graph.
+
+    memberships must have one probability-vector row per node of g.
+    With a single community the positive and negative sums cancel
+    identically, so the score is returned as exact zero. An entirely
+    empty graph scores zero as well.
+
+    A non-empty list or tuple of 2-d arrays is a batch: each is checked
+    and scored as above, in one pass over W for all of them, and the
+    values are returned as a list in the same order.
+    """
+    batch = (isinstance(memberships, (list, tuple)) and len(memberships) > 0
+             and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in memberships))
+    ms = [_checked_memberships(g, m) for m in (memberships if batch else [memberships])]
     split = g._split
     total = 2.0 * split.pos_mass + 2.0 * split.neg_mass
-    if total == 0.0:
-        return ModularityValue(q=0.0, q_pos=0.0, q_neg=0.0, pos_weight=0.0, neg_weight=0.0)
-    pos_weight = 2.0 * split.pos_mass / total
-    neg_weight = 2.0 * split.neg_mass / total
-    if m.shape[1] == 1:
-        # single-community null: both double sums vanish identically
-        return ModularityValue(0.0, 0.0, 0.0, pos_weight, neg_weight)
-    # pos @ m and neg @ m, assembled from row blocks of the two parts
-    products = np.empty((2, g.n, m.shape[1]))
-    for rows, parts in _sign_blocks(g.weights, split.shift):
-        np.matmul(parts, m, out=products[:, rows])
-    pos_m, neg_m = products
-    q_pos = 0.0
-    if split.pos_mass > 0:
-        q_pos = _soft_modularity(pos_m, split.pos_degrees, split.pos_mass, m)
-    q_neg = 0.0
-    if split.neg_mass > 0:
-        q_neg = _soft_modularity(neg_m, split.neg_degrees, split.neg_mass, m)
-    q = pos_weight * q_pos - neg_weight * q_neg
-    return ModularityValue(q=q, q_pos=q_pos, q_neg=q_neg, pos_weight=pos_weight, neg_weight=neg_weight)
+    pos_weight = 2.0 * split.pos_mass / total if total else 0.0
+    neg_weight = 2.0 * split.neg_mass / total if total else 0.0
+    # pos @ m and neg @ m for every m of two or more columns, assembled
+    # from row blocks of the two parts in one pass over W. An empty graph
+    # or a single community needs none: it scores exact zero (with one
+    # community both double sums vanish identically)
+    products = {i: np.empty((2, g.n, m.shape[1])) for i, m in enumerate(ms) if m.shape[1] > 1 and total}
+    if products:
+        for rows, parts in _sign_blocks(g.weights, split.shift):
+            for i, out in products.items():
+                np.matmul(parts, ms[i], out=out[:, rows])
+    values = []
+    for i, m in enumerate(ms):
+        if i not in products:
+            values.append(ModularityValue(0.0, 0.0, 0.0, pos_weight, neg_weight))
+            continue
+        pos_m, neg_m = products.pop(i)
+        q_pos = 0.0
+        if split.pos_mass > 0:
+            q_pos = _soft_modularity(pos_m, split.pos_degrees, split.pos_mass, m)
+        q_neg = 0.0
+        if split.neg_mass > 0:
+            q_neg = _soft_modularity(neg_m, split.neg_degrees, split.neg_mass, m)
+        q = pos_weight * q_pos - neg_weight * q_neg
+        values.append(ModularityValue(q=q, q_pos=q_pos, q_neg=q_neg, pos_weight=pos_weight, neg_weight=neg_weight))
+    return values if batch else values[0]
 
 
 DEFAULT_K_MAX = 15
@@ -143,15 +163,16 @@ def estimate_k(
 ) -> KScanResult:
     """Pick the community count maximizing fuzzy weighted modularity.
 
-    Runs the membership estimator for k = 1..k_max, scores each result,
-    and returns the k of the largest score (smallest k on ties).
+    Runs the membership estimator for k = 1..k_max, scores every
+    successful fit in one batch, and returns the k of the largest score
+    (smallest k on ties).
     Estimation failures at individual k are recorded on the curve and
     skipped; only if every k fails is an EstimationError raised. The
     full range is scanned because score curves are routinely
     non-monotone.
 
     Every k is fitted from one spectrum: eigen, which must be
-    top_k_eigen(g.weights, K) for some K >= k_max, or else a single
+    top_k_eigen(g, K) for some K >= k_max, or else a single
     decomposition at k_max made here. Raises ValueError, before any
     decomposition, unless 1 <= k_max <= g.n.
     """
@@ -160,18 +181,21 @@ def estimate_k(
     if not 1 <= k_max <= g.n:
         raise ValueError(f"k_max={k_max} out of range for n={g.n}")
     if eigen is None:
-        eigen = top_k_eigen(g.weights, k_max)
-    points: list[KScanPoint] = []
+        eigen = top_k_eigen(g, k_max)
+    fits: dict[int, DfspReport] = {}
+    failures: dict[int, str] = {}
     for k in range(1, k_max + 1):
         try:
-            report = dfsp(eigen, k)
+            fits[k] = dfsp(eigen, k)
         except EstimationError as exc:
-            points.append(KScanPoint(k=k, modularity=None, failure=f"{exc.stage}: {exc}"))
-            continue
-        value = fuzzy_weighted_modularity(g, report.memberships)
-        points.append(KScanPoint(k=k, modularity=value, report=report))
-    successes = [p for p in points if p.ok]
-    if not successes:
+            failures[k] = f"{exc.stage}: {exc}"
+    if not fits:
         raise EstimationError("scan", f"estimation failed for every k in 1..{k_max}")
-    best = max(successes, key=lambda p: (p.modularity.q, -p.k))
-    return KScanResult(best_k=best.k, curve=tuple(points), k_max=k_max)
+    scores = dict(zip(fits, fuzzy_weighted_modularity(g, [r.memberships for r in fits.values()])))
+    curve = tuple(
+        KScanPoint(k=k, modularity=scores[k], report=fits[k]) if k in fits
+        else KScanPoint(k=k, modularity=None, failure=failures[k])
+        for k in range(1, k_max + 1)
+    )
+    best = max((p for p in curve if p.ok), key=lambda p: (p.modularity.q, -p.k))
+    return KScanResult(best_k=best.k, curve=curve, k_max=k_max)

@@ -37,6 +37,8 @@ from functools import cache
 
 import numpy as np
 
+from .graph import WeightedGraph
+
 __all__ = [
     "TopKEigen",
     "top_k_eigen",
@@ -96,14 +98,16 @@ class TopKEigen:
         return TopKEigen(vectors=self.vectors[:, :k], values=self.values[:k], next_magnitude=nxt)
 
 
-def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
+def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
     """Eigenpairs of a symmetric matrix with the k largest |eigenvalues|.
 
     Arguments:
-        m: (n, n) real matrix, symmetric within 1e-9 relative tolerance.
-            An exactly symmetric matrix (every WeightedGraph) is
-            decomposed as given; an inexactly symmetric one within the
-            tolerance is replaced by its average 0.5 * (m + m.T) first.
+        m: (n, n) real matrix, symmetric within 1e-9 relative tolerance,
+            or a WeightedGraph, whose weights are decomposed without
+            testing again what its construction checked. An exactly
+            symmetric matrix is decomposed as given; an inexactly
+            symmetric one within the tolerance is replaced by its
+            average 0.5 * (m + m.T) first.
         k: number of eigenpairs, 1 <= k <= n.
 
     For n < 128, or when numpy's LAPACK lacks dsytrd, dsterf, dstebz,
@@ -114,12 +118,14 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     eigenvalues are sorted by decreasing magnitude (stable for ties, so
     -x precedes x) and each eigenvector's sign is fixed by its
     largest-magnitude entry, so the result for k is bitwise the first k
-    pairs of the result for any larger k. Raises ValueError when the
+    pairs of the result for any larger k. A graph and its weights give
+    bitwise the same result. Raises ValueError when the
     matrix has a non-finite entry or is not symmetric within tolerance,
     or when the solver fails or returns a non-finite eigenvalue or
     eigenvector (weights near the float64 limit).
     """
-    m = np.asarray(m, dtype=float)
+    validated = isinstance(m, WeightedGraph)
+    m = m.weights if validated else np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -128,7 +134,7 @@ def top_k_eigen(m: np.ndarray, k: int) -> TopKEigen:
     # non-finite entries are caught with no new pass over an exactly
     # symmetric m from n = 128: a NaN fails the exact symmetry test and the
     # partial solve reads the peak anyway; below, eigh dwarfs the check
-    if not np.array_equal(m, m.T):
+    if not validated and not np.array_equal(m, m.T):
         _check_finite(m)
         if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
             raise ValueError("matrix is not symmetric within tolerance")

@@ -182,8 +182,9 @@ class TestOutputContract:
             [0.6, -0.1],
             [-0.5, -0.2],
         ])
-        m, vertices, clipped, degenerate = memberships_from_vectors(vectors)
+        m, vertices, clipped, degenerate, cond = memberships_from_vectors(vectors)
         assert sorted(vertices.tolist()) == [0, 1]
+        assert cond == 1.0
         assert clipped == 2
         assert degenerate == 1
         assert np.allclose(m[3], [0.5, 0.5])

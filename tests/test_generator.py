@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from mmdf.generator import (
     build_membership,
     check_connectivity,
     _component_count,
+    _draw_weights,
     population_adjacency,
     sample_adjacency,
 )
@@ -175,6 +178,27 @@ FAMILY_RHO = {
 }
 
 
+def spec_of_order(family: Family, n: int, seed: int = 0, sparsity: float | None = None) -> GeneratorSpec:
+    """A spec at any n >= 1: min(3, n) communities with one pure node
+    each, the other nodes evenly mixed."""
+    k = min(3, n)
+    dist = EdgeDistribution(family, sigma2=2.0 if family is Family.NORMAL else None)
+    p = (P_SIGNED if family is Family.NORMAL else P_NONNEG)[:k, :k]
+    mixed = [(np.full(k, 1.0 / k), n - k)] if n > k else []
+    return GeneratorSpec(
+        memberships=build_membership(n, k, 1, mixed),
+        connectivity=check_connectivity(p, dist),
+        rho=FAMILY_RHO[family],
+        distribution=dist,
+        sparsity=sparsity,
+        seed=seed,
+    )
+
+
+# orders on either side of the sampler's 64-row tile edges
+TILE_EDGE_ORDERS = (1, 63, 64, 65, 129)
+
+
 class TestSampling:
     @pytest.mark.parametrize("sparsity", [None, 0.5])
     @pytest.mark.parametrize("family", list(Family))
@@ -186,6 +210,65 @@ class TestSampling:
             graph, _ = sample_adjacency(spec)
             expected = triu_sample_oracle(spec, np.random.default_rng(seed))
             assert graph.weights.tobytes() == expected.tobytes()
+        for n in TILE_EDGE_ORDERS:
+            spec = spec_of_order(family, n, seed=n, sparsity=sparsity)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DisconnectedSampleWarning)
+                graph, _ = sample_adjacency(spec)
+            expected = triu_sample_oracle(spec, np.random.default_rng(n))
+            assert graph.weights.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_draws_match_the_numpy_samplers(self, family):
+        # _draw_weights writes over the means; the values and the stream
+        # they use are those of numpy's own sampler for each family
+        rng = np.random.default_rng(5)
+        means = {
+            Family.NORMAL: rng.normal(size=5000) * 1e3,
+            Family.BERNOULLI: rng.uniform(0.0, 1.0, 5000),
+            Family.POISSON: rng.uniform(0.0, 50.0, 5000),
+            Family.UNIFORM: np.concatenate([rng.uniform(0.0, 1.0, 4997) * 10.0 ** rng.integers(-320, 300, 4997),
+                                            [np.finfo(float).max / 2.0, 0.0, 5e-324]]),
+            Family.SIGNED: rng.uniform(-1.0, 1.0, 5000),
+            Family.POINT_MASS: rng.normal(size=5000),
+        }[family]
+        numpy_sampler = {
+            Family.NORMAL: lambda r, m: r.normal(m, np.sqrt(2.0)),
+            Family.BERNOULLI: lambda r, m: (r.random(m.shape) < m).astype(float),
+            Family.POISSON: lambda r, m: r.poisson(m).astype(float),
+            Family.UNIFORM: lambda r, m: r.uniform(0.0, 2.0 * m),
+            Family.SIGNED: lambda r, m: np.where(r.random(m.shape) < (1.0 + m) / 2.0, 1.0, -1.0),
+            Family.POINT_MASS: lambda r, m: m.copy(),
+        }[family]
+        dist = EdgeDistribution(family, sigma2=2.0 if family is Family.NORMAL else None)
+        for seed in range(3):
+            expected = numpy_sampler(np.random.default_rng(seed), means)
+            drawn = _draw_weights(np.random.default_rng(seed), means.copy(), dist)
+            assert drawn.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(Family)), st.sampled_from(TILE_EDGE_ORDERS),
+           st.one_of(st.none(), st.floats(0.0, 1.0)), st.integers(0, 2**32 - 1))
+    def test_samples_are_exactly_symmetric_finite_with_zero_diagonal(self, family, n, sparsity, seed):
+        # what WeightedGraph no longer tests on a sampled matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedSampleWarning)
+            graph, _ = sample_adjacency(spec_of_order(family, n, seed=seed, sparsity=sparsity))
+        w = graph.weights
+        assert w.shape == (n, n)
+        assert w.tobytes() == np.ascontiguousarray(w.T).tobytes()
+        assert np.isfinite(w).all()
+        assert not np.diagonal(w).any()
+
+    def test_uniform_mean_up_to_half_the_float64_limit_samples_finite_weights(self):
+        spec = standard_spec(Family.UNIFORM, rho=np.finfo(float).max / 2.0, n=30, pure=6)
+        graph, _ = sample_adjacency(spec)
+        assert np.isfinite(graph.weights).all() and graph.weights.max() > 1e307
+
+    def test_uniform_mean_beyond_half_the_float64_limit_rejected(self):
+        # the support [0, 2 * mean] would overflow to inf
+        with pytest.raises(ValueError, match="outside the uniform family's domain"):
+            standard_spec(Family.UNIFORM, rho=1e308, n=30, pure=6)
 
     def test_point_mass_reproduces_population(self):
         spec = standard_spec(Family.POINT_MASS, rho=3.0, n=40, pure=8)

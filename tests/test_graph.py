@@ -24,6 +24,21 @@ def test_construction_rejects_asymmetry():
         WeightedGraph(m)
 
 
+def test_sampler_path_keeps_every_other_check():
+    # the sampler's path skips only the exact-symmetry test
+    assert WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]), _exact_symmetric=True).n == 2
+    for bad, message in ((np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+                         (np.eye(2), "diagonal"),
+                         (np.zeros((2, 3)), "square")):
+        with pytest.raises(ValueError, match=message):
+            WeightedGraph(bad, _exact_symmetric=True)
+
+
+def test_len_is_the_node_count():
+    assert len(WeightedGraph(np.zeros((5, 5)))) == 5
+    assert len(WeightedGraph(np.zeros((0, 0)))) == 0
+
+
 def test_construction_rejects_self_edges():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="diagonal"):

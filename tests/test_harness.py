@@ -339,6 +339,40 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "error: bad config: rho=inf outside the admissible range" in result.output
 
+    def test_simulate_uniform_support_overflow_exits_2(self, tmp_path):
+        # a uniform mean above half the float64 limit has an infinite support
+        payload = small_config(Family.UNIFORM).to_dict()
+        payload["sweep_values"] = [1e308]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("error: ") == 1
+        assert "error: bad config: mean" in result.output
+        assert "outside the uniform family's domain" in result.output
+
+    def test_detect_reports_the_fit_diagnostics(self, tmp_path):
+        from mmdf.datasets import _fixture_path
+
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "detect", str(_fixture_path("karate.edges")),
+            "--labels", str(_fixture_path("karate.labels")),
+            "--k-max", "8", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "detect.json").read_text())
+        k = summary["k"]
+        corners = summary["vertex_indices"]
+        assert len(corners) == k and len(set(corners)) == k
+        assert summary["clipped_rows"] >= summary["degenerate_rows"] >= 0
+        assert 1.0 <= summary["corner_condition"] <= 1e12
+        memberships = np.array([[float(x) for x in line.split(",")]
+                                for line in (out / "memberships.csv").read_text().splitlines()])
+        # each corner is its own community's pure node
+        assert np.abs(memberships[corners] - np.eye(k)).max() <= 1e-9
+
     def test_datasets_unknown_name_exits_2(self):
         result = CliRunner().invoke(main, ["datasets", "--only", "nope"])
         assert result.exit_code == 2

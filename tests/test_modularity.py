@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mmdf.graph import _BLOCK_ROWS, WeightedGraph
-from mmdf.modularity import estimate_k, fuzzy_weighted_modularity
+from mmdf.modularity import ModularityValue, estimate_k, fuzzy_weighted_modularity
 
 from conftest import standard_spec
 from mmdf.generator import Family, sample_adjacency
@@ -222,6 +222,52 @@ class TestFuzzyWeightedModularity:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             fuzzy_weighted_modularity(WeightedGraph(np.zeros((3, 3))), np.ones((4, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5 * _BLOCK_ROWS),
+           st.integers(-5, 20), st.integers(-5, 20),
+           st.lists(st.integers(1, 6), min_size=1, max_size=6), st.booleans())
+    @example(seed=0, n=12, pos_exp=20, neg_exp=-5, ks=[1, 2, 3], empty=False)  # one block
+    @example(seed=1, n=5 * _BLOCK_ROWS, pos_exp=20, neg_exp=-5, ks=[3, 1, 4], empty=False)  # five blocks
+    @example(seed=2, n=9, pos_exp=0, neg_exp=0, ks=[1, 2, 5], empty=True)
+    @example(seed=3, n=40, pos_exp=0, neg_exp=0, ks=[1], empty=False)
+    def test_batch_matches_single_calls(self, seed, n, pos_exp, neg_exp, ks, empty):
+        rng = np.random.default_rng(seed)
+        sign = rng.choice([1.0, -1.0, 0.0], p=[0.4, 0.4, 0.2], size=(n, n))
+        scale = np.where(sign > 0, 10.0**pos_exp, 10.0**neg_exp)
+        w = np.triu(sign * scale * rng.uniform(0.5, 1.5, size=(n, n)), 1)
+        w = np.zeros((n, n)) if empty else w + w.T
+        ms = [rng.dirichlet(np.ones(k), size=n) for k in ks]
+        g = WeightedGraph(w)
+        batch = fuzzy_weighted_modularity(g, ms)
+        assert isinstance(batch, list) and len(batch) == len(ms)
+        for m, value in zip(ms, batch):
+            single = fuzzy_weighted_modularity(WeightedGraph(w), m)
+            assert value.q == pytest.approx(single.q, rel=1e-12, abs=1e-12)
+            assert value.q_pos == pytest.approx(single.q_pos, rel=1e-12, abs=1e-12)
+            assert value.q_neg == pytest.approx(single.q_neg, rel=1e-12, abs=1e-12)
+            assert (value.pos_weight, value.neg_weight) == (single.pos_weight, single.neg_weight)
+
+    def test_single_form_keeps_its_type_for_any_matrix_like(self, rng):
+        w = rng.normal(size=(6, 6))
+        w = w + w.T
+        np.fill_diagonal(w, 0.0)
+        g = WeightedGraph(w)
+        m = rng.dirichlet(np.ones(2), size=6)
+        value = fuzzy_weighted_modularity(g, m)
+        assert isinstance(value, ModularityValue)
+        # nested lists and lists of rows are one matrix, not a batch
+        assert fuzzy_weighted_modularity(g, m.tolist()) == value
+        assert fuzzy_weighted_modularity(g, list(m)) == value
+        assert fuzzy_weighted_modularity(g, (m,)) == [value]
+
+    def test_batch_checks_every_matrix(self):
+        g = WeightedGraph(FOUR_NODE_SIGNED)
+        good = indicator(np.array([0, 0, 1, 1]), 2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            fuzzy_weighted_modularity(g, [good, 2.0 * good])
+        with pytest.raises(ValueError, match="match"):
+            fuzzy_weighted_modularity(g, [good, np.ones((3, 1))])
 
 
 def q_without_diagonal(weights: np.ndarray, m: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """One eigendecomposition, one sign split and one fit per graph and k.
 
 Every entry point that fits or scores several community counts on one
-graph shares a single top-k spectrum and a single sign split, and fits
-and scores each count once. These tests count the calls at every mmdf
-binding of top_k_eigen, sign_split, dfsp and fuzzy_weighted_modularity,
-so a code path that decomposes or fits again, under any import name,
-is caught.
+graph shares a single top-k spectrum and a single sign split, fits each
+count once, and scores every fit of a scan in one batch. These tests
+count the calls at every mmdf binding of top_k_eigen, sign_split, dfsp
+and fuzzy_weighted_modularity, so a code path that decomposes, fits or
+scores again, under any import name, is caught.
 """
 
 import sys
@@ -140,9 +140,18 @@ def fit_counts(fits):
     return len(fits["dfsp"]), len(fits["fuzzy_weighted_modularity"])
 
 
+def scored_counts(fits):
+    """The column count of every matrix scored, over all scoring calls
+    (a batch is a list of matrices)."""
+    return [m.shape[1] for _, ms in fits["fuzzy_weighted_modularity"]
+            for m in (ms if isinstance(ms, list) else [ms])]
+
+
 def test_detect_auto_k_fits_each_count_once(fits, graph):
     report = detect_graph(graph, k_max=5)
-    assert fit_counts(fits) == (5, 5)
+    # five fits, scored in one call
+    assert fit_counts(fits) == (5, 1)
+    assert scored_counts(fits) == [1, 2, 3, 4, 5]
     best = report.scan.point(report.best_k)
     assert report.q == best.modularity.q
     assert report.memberships is best.report.memberships
@@ -157,7 +166,8 @@ def test_dataset_suite_fits_each_count_once(fits):
     # karate's curated count (2) lies inside the scan, so nothing is refitted
     rows = run_dataset_suite(["karate"], k_max=8)
     assert rows[0].notice is None and rows[0].mislabels is not None
-    assert fit_counts(fits) == (8, 8)
+    assert fit_counts(fits) == (8, 1)
+    assert scored_counts(fits) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_dataset_suite_fits_a_curated_count_beyond_the_scan(fits):
@@ -165,7 +175,9 @@ def test_dataset_suite_fits_a_curated_count_beyond_the_scan(fits):
     rows = run_dataset_suite(["gahuku-gama"], k_max=2)
     assert rows[0].mislabels is not None
     assert [k for _, k in fits["dfsp"]] == [1, 2, 3]
-    assert len(fits["fuzzy_weighted_modularity"]) == 2
+    # the scan's two fits are scored in one call; the curated fit is not scored
+    assert len(fits["fuzzy_weighted_modularity"]) == 1
+    assert scored_counts(fits) == [1, 2]
 
 
 def test_scan_point_keeps_its_fit_out_of_equality(graph):

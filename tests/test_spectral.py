@@ -378,6 +378,21 @@ class TestLargeMatrices:
                         top_k_eigen(m, 2)
 
 
+@pytest.mark.parametrize("n", [60, 200, 400])
+def test_a_graph_decomposes_bitwise_as_its_weights(n):
+    # one order per solver path: eigh, partial with dsterf, partial with bisection
+    from mmdf.generator import Family, sample_adjacency
+    from conftest import standard_spec
+
+    assert 60 < spectral._PARTIAL_MIN_N <= 200 < spectral._BISECT_MIN_N <= 400
+    graph, _ = sample_adjacency(standard_spec(Family.SIGNED, rho=0.5, n=n, pure=n // 5, seed=n))
+    for k in (1, 5):
+        of_graph, of_weights = top_k_eigen(graph, k), top_k_eigen(graph.weights, k)
+        assert of_graph.vectors.tobytes() == of_weights.vectors.tobytes()
+        assert of_graph.values.tobytes() == of_weights.values.tobytes()
+        assert of_graph.next_magnitude == of_weights.next_magnitude
+
+
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
     # the solver depends on n (and the numpy build), never on k
     if spectral._lapack() is None:
