@@ -15,6 +15,8 @@ and mislabel counts where curated truth exists.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -115,7 +117,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregates for one sweep value over its replicates."""
+    """Aggregates for one sweep value over its replicates.
+
+    failure_stages counts the failed fits at the true k by the stage that
+    failed. k_hat_counts counts the k the scan selected over the
+    successful fits, keyed by str(k), with scans that failed at every k
+    under "failed"; it is empty when the sweep does not scan.
+    """
 
     value: float
     mean_hamming: float
@@ -123,6 +131,8 @@ class SweepCell:
     accuracy: float | None
     failures: int
     successes: int
+    failure_stages: dict[str, int] = field(default_factory=dict)
+    k_hat_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,8 @@ class SweepReport:
                     "accuracy_rate": c.accuracy,
                     "failures": c.failures,
                     "successes": c.successes,
+                    "failure_stages": c.failure_stages,
+                    "k_hat_counts": c.k_hat_counts,
                 }
                 for c in self.cells
             ],
@@ -157,8 +169,10 @@ class SweepReport:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_replicate(args) -> tuple[float, float, int | None, str | None]:
-    """One protocol replicate; returns (hamming, relative, k_hat, failure).
+def _run_replicate(args) -> tuple[float, float, int | None, str | None, bool]:
+    """One protocol replicate; returns (hamming, relative, k_hat, stage,
+    scan_failed): stage names the failing stage of the fit at the true k
+    (None when it succeeded), and the scan runs only after a successful fit.
 
     One eigendecomposition serves both the fit at the true k and the scan.
     """
@@ -169,15 +183,15 @@ def _run_replicate(args) -> tuple[float, float, int | None, str | None]:
     try:
         report = dfsp(spectrum, spec.k)
     except EstimationError as exc:
-        return (np.nan, np.nan, None, f"{exc.stage}: {exc}")
+        return (np.nan, np.nan, None, exc.stage, False)
     errors = membership_errors(report.memberships, truth.memberships)
     k_hat = None
     if estimate_counts:
         try:
             k_hat = estimate_k(graph, k_max=k_scan_max, eigen=spectrum).best_k
         except EstimationError:
-            k_hat = None
-    return (errors.hamming, errors.relative, k_hat, None)
+            return (errors.hamming, errors.relative, None, None, True)
+    return (errors.hamming, errors.relative, k_hat, None, False)
 
 
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
@@ -188,35 +202,37 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     (config.seed, value index, replicate index).
     """
     cells = []
-    for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
-        tasks = [
-            (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
-            for r in range(config.replications)
-        ]
+    with ExitStack() as stack:
+        run = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_replicate, tasks))
-        else:
-            results = [_run_replicate(t) for t in tasks]
-        hams = [h for h, _, _, fail in results if fail is None]
-        rels = [r for _, r, _, fail in results if fail is None]
-        k_hats = [k for _, _, k, fail in results if fail is None and k is not None]
-        failures = sum(1 for *_, fail in results if fail is not None)
-        accuracy = None
-        if config.estimate_counts and k_hats:
-            accuracy = accuracy_rate(k_hats, spec.k)
-        cells.append(
-            SweepCell(
-                value=float(value),
-                mean_hamming=float(np.mean(hams)) if hams else float("nan"),
-                mean_relative=float(np.mean(rels)) if rels else float("nan"),
-                accuracy=accuracy,
-                failures=failures,
-                successes=len(hams),
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
+            tasks = [
+                (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
+                for r in range(config.replications)
+            ]
+            results = list(run(_run_replicate, tasks))
+            ok = [res for res in results if res[3] is None]
+            k_hats = [k for _, _, k, _, _ in ok if k is not None]
+            accuracy = None
+            if config.estimate_counts and k_hats:
+                accuracy = accuracy_rate(k_hats, spec.k)
+            stages = Counter(stage for *_, stage, _ in results if stage is not None)
+            scans = Counter("failed" if failed else str(k) for _, _, k, _, failed in ok if failed or k is not None)
+            cells.append(
+                SweepCell(
+                    value=float(value),
+                    mean_hamming=float(np.mean([h for h, *_ in ok])) if ok else float("nan"),
+                    mean_relative=float(np.mean([r for _, r, *_ in ok])) if ok else float("nan"),
+                    accuracy=accuracy,
+                    failures=len(results) - len(ok),
+                    successes=len(ok),
+                    failure_stages=dict(sorted(stages.items())),
+                    k_hat_counts=dict(sorted(scans.items())),
+                )
             )
-        )
     return SweepReport(cells=tuple(cells), config=config.to_dict())
 
 

@@ -8,16 +8,18 @@ runs depends on the matrix order n and the numpy build, never on k:
   below, a full np.linalg.eigh, truncated;
 - otherwise a partial solve in numpy's own LAPACK (the scipy-openblas64
   library that np.linalg already loaded, called through ctypes): one
-  reduction to tridiagonal form (dsytrd), then MRRR eigenvectors (dstemr,
+  reduction to tridiagonal form (dsytrd), then MRRR eigenpairs (dstemr,
   Dhillon, Parlett & Voemel 2006) with their back-transform (dormtr)
-  only for the chunks of the spectrum that hold the selected pairs.
-  Below n = 320 every eigenvalue comes from one pass (dsterf). From
-  n = 320 no pass over the full spectrum runs: chunks open from the two
-  ends of the spectrum, as many as the k + 1 largest magnitudes need,
-  each giving its eigenvalues with its eigenvectors, and chunk
-  boundaries are settled by Sturm-sequence bisection of the eigenvalues
-  on either side of them (dstebz, Kahan 1966). At n = 800 on 2 cores it
-  takes 43-49 ms where eigh takes 106-109 ms.
+  only for the chunks of the spectrum that hold the selected pairs. No
+  pass over the full spectrum runs: chunks of 4 indices open from the
+  two ends of the spectrum, as many as the k + 1 largest magnitudes
+  need. Each chunk's dstemr call is one index wider toward the middle;
+  its values are the only eigenvalues the solve reads, and the extra
+  one settles the chunk's inner boundary and bounds the unopened middle.
+  Only a boundary inside a cluster of eigenvalues, or a range dstemr
+  refuses, is settled by Sturm-sequence bisection (dstebz, Kahan 1966).
+  At n = 800 on 2 cores it takes 31-44 ms (medians for k from 3 to
+  16) where eigh takes 90 ms.
 
 The ordering and sign convention of top_k_eigen do not depend on k, so
 on either path top_k_eigen(m, k) is bitwise the first k pairs of
@@ -54,15 +56,12 @@ _SP_RESIDUAL_TOL = 1e-24
 # crossover lies between n = 112 (partial solve x1.14 of eigh's time)
 # and n = 160 (x0.83); below n = 96 eigh is clearly faster
 _PARTIAL_MIN_N = 128
-# smallest order at which the partial solve bisects the few eigenvalues
-# it needs instead of computing all n (dsterf, O(n^2)). On 2 cores, on
-# nonnegative draws at k = 3, whose (k+1)-th magnitude sits at the other
-# end, bisection costs x1.16 of dsterf's time at n = 192, x1.00 at 320
-# and x0.92 at 384; on signed draws at k = 6 it gains from n = 192
-_BISECT_MIN_N = 320
 # the partial solve computes eigenvectors in chunks of this many indices,
-# counted from each end of the ascending spectrum
-_CHUNK = 8
+# counted from each end of the ascending spectrum. A dstemr call costs
+# about linearly in the pairs it computes; on 2 cores, 4 gave the lowest
+# or equal-lowest median solve time at every n in {200, 800, 1600} and
+# k in {3, 6, 10, 16}, against 6 and 8
+_CHUNK = 4
 # a chunk boundary never separates two eigenvalues closer than this
 # fraction of the spectral radius; it moves toward the middle instead.
 # Chunks stop opening once the wanted magnitudes exceed the unopened
@@ -110,11 +109,11 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
             average 0.5 * (m + m.T) first.
         k: number of eigenpairs, 1 <= k <= n.
 
-    For n < 128, or when numpy's LAPACK lacks dsytrd, dsterf, dstebz,
-    dstemr and dormtr, this is a full np.linalg.eigh; otherwise a partial
-    solve in that LAPACK that computes eigenvectors only near the
-    selected pairs and, from n = 320, eigenvalues only near the ends of
-    the spectrum (see the module docstring). The decomposition is deterministic on both paths:
+    For n < 128, or when numpy's LAPACK lacks dsytrd, dstebz, dstemr and
+    dormtr, this is a full np.linalg.eigh; otherwise a partial solve in
+    that LAPACK that computes eigenpairs only in chunks at the ends of
+    the spectrum that reach the selected pairs (see the module
+    docstring). The decomposition is deterministic on both paths:
     eigenvalues are sorted by decreasing magnitude (stable for ties, so
     -x precedes x) and each eigenvector's sign is fixed by its
     largest-magnitude entry, so the result for k is bitwise the first k
@@ -171,7 +170,7 @@ def _check_finite(m: np.ndarray | float) -> None:
 
 @cache
 def _lapack() -> dict | None:
-    """dsytrd, dsterf, dstebz, dstemr and dormtr from numpy's own LAPACK,
+    """dsytrd, dstebz, dstemr and dormtr from numpy's own LAPACK,
     resolved once on first use; None when numpy's linalg extension does
     not export them (any build other than scipy-openblas64)."""
     ptr, s = ctypes.c_void_p, ctypes.c_char_p
@@ -179,7 +178,6 @@ def _lapack() -> dict | None:
     # hidden size_t length per character argument after the others
     signatures = {
         "dsytrd": [s] + [ptr] * 9 + [ctypes.c_size_t],
-        "dsterf": [ptr] * 4,
         "dstebz": [s, s] + [ptr] * 16 + [ctypes.c_size_t] * 2,
         "dstemr": [s, s] + [ptr] * 19 + [ctypes.c_size_t] * 2,
         "dormtr": [s, s, s] + [ptr] * 10 + [ctypes.c_size_t] * 3,
@@ -225,14 +223,13 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
     the k + 1 of largest magnitude, and a function from indices into
     them to the (n, len(indices)) eigenvectors at those indices.
 
-    Below _BISECT_MIN_N the values are all n, from dsterf. From it, chunks
-    open in _chunk_order until the k + 1 largest magnitudes among their
-    values exceed every magnitude the unopened middle can hold, and the
-    values are those of the open chunks, each from its own chunk's
-    dstemr call. Eigenvectors come per chunk and are back-transformed
-    only for the chunks that hold a requested index. Chunks, and the
-    order they open in, depend on m alone, so the columns returned for
-    an index do not depend on k or on which other indices are requested.
+    Chunks open in _chunk_order until the k + 1 largest magnitudes among
+    their values exceed every magnitude the unopened middle can hold.
+    Each chunk's values and eigenvectors come from its own dstemr call,
+    and its eigenvectors are back-transformed only when it holds a
+    requested index. Chunks, their calls and the order they open in
+    depend on m alone, so the columns returned for an index do not
+    depend on k or on which other indices are requested.
     """
     n = m.shape[0]
     # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
@@ -253,9 +250,10 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
         raise ValueError("eigendecomposition returned non-finite eigenpairs")
 
     @cache
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def call(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Eigenvalues lo..hi-1 (ascending) and their eigenvectors of the
-        tridiagonal form, as the rows of a (hi - lo, n) array."""
+        tridiagonal form, as the rows of a (hi - lo, n) array, from one
+        dstemr call; None when dstemr refuses the range."""
         cols = hi - lo
         dd, ee = d.copy(), e.copy()  # dstemr overwrites both
         vals, z = np.empty(n), np.empty((cols, n))  # C-order rows are Fortran columns
@@ -269,66 +267,63 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
                          ctypes.byref(found), vals.ctypes.data, z.ctypes.data, _int(n), _int(cols),
                          isuppz.ctypes.data, ctypes.byref(tryrac), work.ctypes.data, _int(len(work)),
                          iwork.ctypes.data, _int(len(iwork)), ctypes.byref(info), 1, 1)
-        _check(lapack["dstemr"], info)
+        if info.value != 0:
+            return None
         if found.value != cols:
             raise ValueError(f"eigendecomposition failed: dstemr found {found.value} of {cols} eigenvectors")
         return vals[:cols], z
 
-    if n < _BISECT_MIN_N:
-        every, scratch = d.copy(), e.copy()
-        lapack["dsterf"](_int(n), every.ctypes.data, scratch.ctypes.data, ctypes.byref(info))
-        _check(lapack["dsterf"], info)
+    # dstebz's outputs and workspace, shared by every bisection
+    w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    rwork, riwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
 
-        def eigenvalue(i: int) -> float:
-            return float(every[i])
+    @cache
+    def eigenvalue(i: int) -> float:
+        """The i-th ascending eigenvalue, by Sturm-sequence bisection."""
+        found, nsplit = ctypes.c_int64(), ctypes.c_int64()
+        vbound, abstol = ctypes.c_double(), ctypes.c_double(0.0)  # 0: dstebz's default accuracy
+        lapack["dstebz"](b"I", b"E", _int(n), ctypes.byref(vbound), ctypes.byref(vbound),
+                         _int(i + 1), _int(i + 1), ctypes.byref(abstol), d.ctypes.data,
+                         e.ctypes.data, ctypes.byref(found), ctypes.byref(nsplit), w.ctypes.data,
+                         iblock.ctypes.data, isplit.ctypes.data, rwork.ctypes.data,
+                         riwork.ctypes.data, ctypes.byref(info), 1, 1)
+        _check(lapack["dstebz"], info)
+        if found.value != 1:
+            raise ValueError(f"eigendecomposition failed: dstebz found {found.value} eigenvalues at index {i}")
+        return float(w[0])
 
-        def values(lo: int, hi: int) -> np.ndarray:
-            return every[lo:hi]
-    else:
-        # dstebz's outputs and workspace, shared by every bisection
-        w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        rwork, riwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+    def values(lo: int, hi: int) -> np.ndarray | None:
+        got = call(lo, hi)
+        return None if got is None else got[0]
 
-        @cache
-        def eigenvalue(i: int) -> float:
-            """The i-th ascending eigenvalue, by Sturm-sequence bisection."""
-            found, nsplit = ctypes.c_int64(), ctypes.c_int64()
-            vbound, abstol = ctypes.c_double(), ctypes.c_double(0.0)  # 0: dstebz's default accuracy
-            lapack["dstebz"](b"I", b"E", _int(n), ctypes.byref(vbound), ctypes.byref(vbound),
-                             _int(i + 1), _int(i + 1), ctypes.byref(abstol), d.ctypes.data,
-                             e.ctypes.data, ctypes.byref(found), ctypes.byref(nsplit), w.ctypes.data,
-                             iblock.ctypes.data, isplit.ctypes.data, rwork.ctypes.data,
-                             riwork.ctypes.data, ctypes.byref(info), 1, 1)
-            _check(lapack["dstebz"], info)
-            if found.value != 1:
-                raise ValueError(f"eigendecomposition failed: dstebz found {found.value} eigenvalues at index {i}")
-            return float(w[0])
+    def owned(chunk: tuple[int, int, int, int]) -> np.ndarray:
+        lo, hi, clo, chi = chunk
+        return call(clo, chi)[0][lo - clo:hi - clo]
 
-        def values(lo: int, hi: int) -> np.ndarray:
-            return chunk(lo, hi)[0]
-
-    # the radius comes from the eigenvalue source, not from the end chunks:
-    # a dstemr call whose index range cuts a tight cluster can fail (DLARRF
-    # finds no representation for the part of the cluster inside the range)
-    tol = _CLUSTER_TOL * max(-eigenvalue(0), eigenvalue(n - 1))
     opened = []
-    for new, bound in _chunk_order(n, tol, eigenvalue):
+    for new, ceiling in _chunk_order(n, values, eigenvalue):
         opened += new
-        mags = np.sort(np.abs(np.concatenate([values(*c) for c in opened])))[::-1]
-        if len(mags) > k and mags[k] > bound + tol:
+        mags = np.sort(np.abs(np.concatenate([owned(c) for c in opened])))[::-1]
+        if len(mags) > k and mags[k] > ceiling:
             break
     opened.sort()
-    vals = np.concatenate([values(*c) for c in opened])
-    starts = np.cumsum([0] + [hi - lo for lo, hi in opened])
+    vals = np.concatenate([owned(c) for c in opened])
+    starts = np.cumsum([0] + [hi - lo for lo, hi, _, _ in opened])
 
     def vectors_at(indices: np.ndarray) -> np.ndarray:
         vecs = np.empty((n, len(indices)))
         which = np.searchsorted(starts, indices, side="right") - 1
         for c in sorted(set(which.tolist())):  # np.unique would import numpy.ma
-            z = chunk(*opened[c])[1]
-            _with_workspace(lapack["dormtr"], (b"L", b"L", b"N", _int(n), _int(len(z)), a.ctypes.data,
-                                               _int(n), tau.ctypes.data, z.ctypes.data, _int(n)),
-                            info, (1, 1, 1))
+            lo, hi, clo, chi = opened[c]
+            z = call(clo, chi)[1][lo - clo:hi - clo]
+            # at most _CHUNK columns per call: dormtr's own workspace query
+            # is too small for its blocked path, and its unblocked path is
+            # slow on wide calls, while slices give the wide call's bits
+            for s in range(0, len(z), _CHUNK):
+                part = z[s:s + _CHUNK]
+                _with_workspace(lapack["dormtr"], (b"L", b"L", b"N", _int(n), _int(len(part)), a.ctypes.data,
+                                                   _int(n), tau.ctypes.data, part.ctypes.data, _int(n)),
+                                info, (1, 1, 1))
             picked = which == c
             vecs[:, picked] = z[indices[picked] - starts[c]].T
         return vecs
@@ -337,46 +332,82 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
         return np.ldexp(vals, -shift), vectors_at
 
 
-def _chunk_order(n: int, tol: float, eigenvalue):
-    """The eigenvector chunks [lo, hi) of an ascending spectrum of n
-    eigenvalues, in the order the partial solve opens them.
+def _chunk_order(n: int, values, eigenvalue):
+    """The eigenvector chunks of an ascending spectrum of n eigenvalues,
+    in the order the partial solve opens them.
 
-    Yields (chunks, bound) per step: the two end chunks at the first
+    values(lo, hi) gives eigenvalues lo..hi-1 from one dstemr call on
+    that index range, or None when dstemr refuses the range;
+    eigenvalue(i) gives the i-th eigenvalue by bisection, which only the
+    fallback below asks for.
+
+    Yields (chunks, ceiling) per step: the two end chunks at the first
     step, then one chunk per step from whichever end of the unopened
-    middle holds the larger |eigenvalue|, each with the largest
-    |eigenvalue| the middle still holds (-inf once it is empty).
-    eigenvalue(i) is the i-th ascending eigenvalue; it is asked only
-    for the two eigenvalues on either side of each boundary tried.
+    middle holds the larger |eigenvalue|. A chunk (lo, hi, clo, chi)
+    holds indices lo..hi-1, whose pairs come from the call on clo..chi-1.
+    ceiling exceeds by tol every |eigenvalue| the middle still holds
+    (-inf once it is empty).
 
-    A chunk takes _CHUNK indices from its end of the middle; a boundary
-    that would separate two eigenvalues within tol moves toward the
-    middle until it does not, so a cluster's eigenvectors come from one
-    dstemr call and stay orthogonal.
+    A chunk takes _CHUNK indices from its end of the middle and is called
+    one index wider, toward the middle: the extra eigenvalue tells
+    whether the chunk's inner boundary separates two eigenvalues within
+    tol, and bounds the middle. tol is _CLUSTER_TOL of the spectral
+    radius, which the two end calls give. When the extra value lies
+    within tol of the chunk's innermost one, or dstemr refuses the range
+    (as it can when the range cuts a tight cluster), bisection moves the
+    boundary toward the middle until it separates no such pair, and the
+    chunk is called on exactly its settled range. So a cluster's
+    eigenvectors come from one dstemr call and stay orthogonal.
     """
     lo, hi = 0, n
+    below = above = 0.0  # eigenvalues lo and hi - 1, the ends of the middle
+
+    def settled(clo: int, chi: int) -> tuple[int, int]:
+        if values(clo, chi) is None:
+            raise ValueError(f"eigendecomposition failed: dstemr refused the settled range [{clo}, {chi})")
+        return clo, chi
+
+    def ceiling() -> float:
+        return max(abs(below), abs(above)) + tol if lo < hi else -np.inf
 
     def settle(b: int, step: int) -> int:
         while lo < b < hi and eigenvalue(b) - eigenvalue(b - 1) <= tol:
             b += step
         return min(max(b, lo), hi)
 
-    def bound() -> float:
-        return max(abs(eigenvalue(lo)), abs(eigenvalue(hi - 1))) if lo < hi else -np.inf
-
-    lo = settle(_CHUNK, 1)
-    ends = [(0, lo)]
-    if lo < hi:
-        hi = settle(n - _CHUNK, -1)
-        ends.append((hi, n))
-    yield ends, bound()
-    while lo < hi:
-        if abs(eigenvalue(lo)) >= abs(eigenvalue(hi - 1)):
-            b = settle(lo + _CHUNK, 1)
-            new, lo = (lo, b), b
+    def cut(step: int) -> tuple[int, int, int, int]:
+        """The next chunk from the low (step 1) or high (step -1) end of the middle."""
+        nonlocal lo, hi, below, above
+        b = min(lo + _CHUNK, hi) if step > 0 else max(hi - _CHUNK, lo)
+        call = None
+        if lo < b < hi:
+            wide = (lo, b + 1) if step > 0 else (b - 1, hi)
+            got = values(*wide)
+            if got is not None and (got[-1] - got[-2] if step > 0 else got[1] - got[0]) > tol:
+                call, edge = wide, float(got[-1] if step > 0 else got[0])
+            else:
+                b = settle(b, step)
+        if call is None:
+            call = settled(lo, b) if step > 0 else settled(b, hi)
+            edge = eigenvalue(b if step > 0 else b - 1) if lo < b < hi else 0.0
+        if step > 0:
+            chunk, lo, below = (lo, b, *call), b, edge
         else:
-            b = settle(hi - _CHUNK, -1)
-            new, hi = (b, hi), b
-        yield [new], bound()
+            chunk, hi, above = (b, hi, *call), b, edge
+        return chunk
+
+    if n < 2 * _CHUNK + 2:  # the two end calls would overlap: one call
+        yield [(0, n, *settled(0, n))], -np.inf
+        return
+    low, high = values(0, _CHUNK + 1), values(n - _CHUNK - 1, n)
+    tol = _CLUSTER_TOL * max(-(eigenvalue(0) if low is None else float(low[0])),
+                             eigenvalue(n - 1) if high is None else float(high[-1]))
+    ends = [cut(1)]
+    if lo < hi:
+        ends.append(cut(-1))
+    yield ends, ceiling()
+    while lo < hi:
+        yield [cut(1 if abs(below) >= abs(above) else -1)], ceiling()
 
 
 def successive_projection(y: np.ndarray, k: int) -> np.ndarray:

@@ -96,6 +96,51 @@ class TestRunSimulation:
         assert changed != config.generator
         assert dataclasses.replace(config, generator=changed) != config
 
+    def test_failures_by_stage_and_k_hat_counts(self, monkeypatch):
+        # three pairs of pure nodes with no edges between pairs: the
+        # spectrum is 1, 1, 1, -1, -1, -1, so k = 3 cuts through tied
+        # magnitudes and every fit fails at the eigendecomposition stage
+        dist = EdgeDistribution(Family.POINT_MASS)
+        tied = GeneratorSpec(memberships=np.kron(np.eye(3), np.ones((2, 1))),
+                             connectivity=check_connectivity(np.eye(3), dist), rho=1.0, distribution=dist)
+        config = ExperimentConfig(generator=tied, sweep_values=(1.0, 2.0), replications=3,
+                                  estimate_counts=True, k_scan_max=3, profile="ci")
+        for cell in run_simulation(config).cells:
+            assert cell.failures == 3
+            assert cell.failure_stages == {"eigendecomposition": 3}
+            assert cell.k_hat_counts == {}
+        # a scanning design: one count per successful fit
+        config = small_config(Family.NORMAL, values=(50.0,), reps=4, estimate_counts=True)
+        [cell] = run_simulation(config).cells
+        assert cell.failure_stages == {}
+        assert sum(cell.k_hat_counts.values()) == cell.successes == 4
+        assert cell.accuracy == cell.k_hat_counts.get("3", 0) / 4
+        # a scan that fails at every k has its own key
+        import mmdf.harness
+
+        def failing(*args, **kwargs):
+            raise mmdf.harness.EstimationError("scan", "estimation failed for every k")
+
+        monkeypatch.setattr(mmdf.harness, "estimate_k", failing)
+        [cell] = run_simulation(config).cells
+        assert cell.k_hat_counts == {"failed": 4} and cell.successes == 4 and cell.accuracy is None
+
+    def test_one_process_pool_per_run(self, monkeypatch):
+        import concurrent.futures
+
+        built = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        class Counted(executor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        config = small_config(Family.NORMAL, values=(5.0, 20.0, 50.0), reps=3, estimate_counts=True)
+        assert run_simulation(config, workers=2) == run_simulation(config)
+        assert built == [{"max_workers": 2}]
+
     def test_csv_and_json_emission(self, tmp_path):
         report = run_simulation(small_config())
         csv_path = tmp_path / "sweep.csv"
@@ -108,6 +153,9 @@ class TestRunSimulation:
         payload = json.loads(json_path.read_text())
         assert payload["config"]["seed"] == 1
         assert len(payload["cells"]) == 2
+        # the stage and k-hat counts go to the JSON only
+        assert payload["cells"][0]["failure_stages"] == {} and payload["cells"][0]["k_hat_counts"] == {}
+        assert "stage" not in lines[0] and "k_hat" not in lines[0]
 
 
 def write_config(tmp_path, family=Family.POINT_MASS, values=(2.0,)):

@@ -121,8 +121,8 @@ def test_detect_rejects_counts_before_decomposing(calls, graph):
 @pytest.mark.parametrize("estimate_counts,expected", [(True, [(60, 5)]), (False, [(60, 3)])])
 def test_replicate_decomposes_once(calls, estimate_counts, expected):
     spec = standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12)
-    _, _, k_hat, failure = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
-    assert failure is None
+    _, _, k_hat, failure, scan_failed = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
+    assert failure is None and not scan_failed
     assert (k_hat is not None) == estimate_counts
     assert decomposed_sizes(calls) == expected
     assert len(calls["sign_split"]) == (1 if estimate_counts else 0)

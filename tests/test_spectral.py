@@ -164,19 +164,42 @@ class TestTopKEigen:
 
 @contextmanager
 def solver(name: str):
-    """Run top_k_eigen's partial LAPACK solve as it runs at n >= N_PARTIAL
-    (below _BISECT_MIN_N, with every eigenvalue from dsterf), the same
-    solve with the eigenvalues it needs bisected as it runs from
-    _BISECT_MIN_N on, or force its np.linalg.eigh fallback by hiding the
-    LAPACK binding."""
+    """Run top_k_eigen's partial LAPACK solve as it runs at n >= N_PARTIAL,
+    the same solve with every chunk boundary settled by its bisection
+    fallback, or force its np.linalg.eigh fallback by hiding the LAPACK
+    binding."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "eigh":
             mp.setattr(spectral, "_lapack", lambda: None)
         elif spectral._lapack() is None:
-            pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
+            pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
         elif name == "bisect":
-            mp.setattr(spectral, "_BISECT_MIN_N", N_PARTIAL)
+            mp.setattr(spectral, "_chunk_order", bisecting(spectral._chunk_order))
         yield
+
+
+def bisecting(chunk_order):
+    """chunk_order with dstemr refusing every index range that has an edge
+    inside the spectrum whose two neighbouring eigenvalues were not
+    bisected first, as LAPACK refuses a range that cuts a tight cluster:
+    every chunk boundary, and the spectral radius, then come from the
+    fallback."""
+
+    def order(n, values, eigenvalue):
+        bisected = set()
+
+        def bisect(i):
+            bisected.add(i)
+            return eigenvalue(i)
+
+        def refusing(lo, hi):
+            if all({b - 1, b} <= bisected for b in (lo, hi) if 0 < b < n):
+                return values(lo, hi)
+            return None
+
+        return chunk_order(n, refusing, bisect)
+
+    return order
 
 
 def random_symmetric(rng, n):
@@ -223,6 +246,19 @@ def with_spectrum(rng, spectrum):
     return 0.5 * (m + m.T)
 
 
+def straddled(seed, n, size, edge, upper, data):
+    """A spaced spectrum of n with a cluster of size eigenvalues within
+    1e-8 of the radius that holds indices edge - 1 and edge from one end,
+    and a k_max and k drawn from data, as check_contract's arguments."""
+    rng = np.random.default_rng(seed)
+    spectrum = spaced(rng, -1.0, 1.0, n)
+    start = data.draw(st.integers(max(0, edge - size + 1), edge - 1))
+    spectrum[start:start + size] = spectrum[start] + rng.uniform(0.0, 1e-8, size)
+    m = with_spectrum(rng, -spectrum if upper else spectrum)
+    k_max = data.draw(st.integers(1, 24))
+    return m, k_max, data.draw(st.integers(1, k_max))
+
+
 def check_contract(m, k_max, k):
     """The top_k_eigen contract on m: bitwise prefix, agreement with a
     full scipy decomposition, orthonormal columns and small residuals."""
@@ -259,9 +295,10 @@ def check_contract(m, k_max, k):
 
 @pytest.mark.parametrize("name", ["partial", "bisect", "eigh"])
 class TestLargeMatrices:
-    """The contract at n >= N_PARTIAL, on the partial LAPACK solve with
-    either eigenvalue source and on the np.linalg.eigh fallback that runs
-    when numpy's LAPACK lacks it."""
+    """The contract at n >= N_PARTIAL, on the partial LAPACK solve, on the
+    same solve with every chunk boundary bisected ("bisect", its fallback)
+    and on the np.linalg.eigh fallback that runs when numpy's LAPACK
+    lacks it."""
 
     @settings(max_examples=16, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
@@ -281,7 +318,8 @@ class TestLargeMatrices:
 
     def test_clusters_straddling_chunk_boundaries(self, name, rng):
         # multiplicity 3 in a tridiagonal form that does not split: index
-        # 8 from either end sits inside a cluster
+        # _CHUNK from either end sits inside a cluster, and so does the
+        # index one wider
         b = random_symmetric(rng, -(-N_PARTIAL // 3))
         m = np.kron(np.eye(3), b)
         q, _ = np.linalg.qr(rng.normal(size=m.shape))
@@ -310,23 +348,25 @@ class TestLargeMatrices:
     def test_cluster_straddling_the_first_boundary(self, name, seed, n, size, upper, data):
         # a cluster within 1e-8 of the radius holds indices _CHUNK - 1 and
         # _CHUNK from one end of the spectrum
-        rng = np.random.default_rng(seed)
-        spectrum = spaced(rng, -1.0, 1.0, n)
-        start = data.draw(st.integers(spectral._CHUNK - size + 1, spectral._CHUNK - 1))
-        spectrum[start:start + size] = spectrum[start] + rng.uniform(0.0, 1e-8, size)
-        m = with_spectrum(rng, -spectrum if upper else spectrum)
-        k_max = data.draw(st.integers(1, 24))
-        k = data.draw(st.integers(1, k_max))
         with solver(name):
-            check_contract(m, k_max, k)
+            check_contract(*straddled(seed, n, size, spectral._CHUNK, upper, data))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80), st.integers(2, 6),
+           st.booleans(), st.data())
+    def test_cluster_straddling_the_first_call_edge(self, name, seed, n, size, upper, data):
+        # the cluster holds indices _CHUNK and _CHUNK + 1: the first chunk's
+        # dstemr call, one index wider than the chunk, cuts it
+        with solver(name):
+            check_contract(*straddled(seed, n, size, spectral._CHUNK + 1, upper, data))
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
            st.sampled_from([-1e-8, 0.0, 1e-8]), st.integers(1, 12), st.data())
     def test_near_tie_between_an_end_and_the_middle(self, name, seed, n, delta, k_max, data):
-        # |λ_8| (just inside the unopened middle) is within 1e-8 of the
-        # largest positive eigenvalue, so the end chunks alone cannot tell
-        # which of the two comes first
+        # the eigenvalue at index _CHUNK (just inside the unopened middle) is
+        # within 1e-8 in magnitude of the largest positive eigenvalue, so
+        # the end chunks alone cannot tell which of the two comes first
         rng = np.random.default_rng(seed)
         ends = spaced(rng, -10.0, -9.0, spectral._CHUNK)
         bulk = spaced(rng, -1.0, 1.0, n - spectral._CHUNK - 2)
@@ -380,11 +420,11 @@ class TestLargeMatrices:
 
 @pytest.mark.parametrize("n", [60, 200, 400])
 def test_a_graph_decomposes_bitwise_as_its_weights(n):
-    # one order per solver path: eigh, partial with dsterf, partial with bisection
+    # one order on eigh, two on the partial solve
     from mmdf.generator import Family, sample_adjacency
     from conftest import standard_spec
 
-    assert 60 < spectral._PARTIAL_MIN_N <= 200 < spectral._BISECT_MIN_N <= 400
+    assert 60 < spectral._PARTIAL_MIN_N <= 200
     graph, _ = sample_adjacency(standard_spec(Family.SIGNED, rho=0.5, n=n, pure=n // 5, seed=n))
     for k in (1, 5):
         of_graph, of_weights = top_k_eigen(graph, k), top_k_eigen(graph.weights, k)
@@ -396,7 +436,7 @@ def test_a_graph_decomposes_bitwise_as_its_weights(n):
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
     # the solver depends on n (and the numpy build), never on k
     if spectral._lapack() is None:
-        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
@@ -412,92 +452,147 @@ def test_partial_solve_binds_on_scipy_openblas64():
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy links {lapack.get('name')}, not scipy-openblas64")
-    assert set(spectral._lapack() or ()) == {"dsytrd", "dsterf", "dstebz", "dstemr", "dormtr"}
+    assert set(spectral._lapack() or ()) == {"dsytrd", "dstebz", "dstemr", "dormtr"}
 
 
-def test_partial_solve_opens_only_the_chunks_it_needs(monkeypatch, rng):
-    # from _BISECT_MIN_N no pass over the full spectrum runs: dstemr runs
-    # per chunk, and dstebz bisects only the two extremes, which give the
-    # spectral radius, and the two eigenvalues on either side of each
-    # boundary
+def counted_lapack(monkeypatch, refuse=()):
+    """Record each LAPACK call of the partial solve as (name, args), with
+    dstemr refusing (info = 22) the 1-based index ranges (IL, IU) in
+    refuse, as LAPACK refuses a range that cuts a tight cluster."""
     routines = spectral._lapack()
     if routines is None:
-        pytest.skip("numpy's LAPACK does not export dsytrd/dsterf/dstebz/dstemr/dormtr")
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
     calls = []
 
     def counted(name, routine):
         def call(*args):
             calls.append((name, args))
+            if name == "dstemr" and (args[7]._obj.value, args[8]._obj.value) in refuse:
+                args[-3]._obj.value = 22  # INFO
+                return None
             return routine(*args)
 
         call.__name__ = routine.__name__
         return call
 
     monkeypatch.setattr(spectral, "_lapack", lambda: {name: counted(name, r) for name, r in routines.items()})
+    return calls
 
-    def ranges(routine):
-        # the 1-based index range (IL, IU) asked of each call, by position
-        at = {"dstebz": (5, 6), "dstemr": (7, 8)}[routine]
-        return [tuple(args[i]._obj.value for i in at) for name, args in calls if name == routine]
 
-    n = spectral._BISECT_MIN_N
+def ranges(calls, routine):
+    """The 1-based index range (IL, IU) asked of each dstebz or dstemr call."""
+    at = {"dstebz": (5, 6), "dstemr": (7, 8)}[routine]
+    return [tuple(args[i]._obj.value for i in at) for name, args in calls if name == routine]
+
+
+def test_partial_solve_opens_only_the_chunks_it_needs(monkeypatch, rng):
+    # no pass over the full spectrum runs: dstemr runs per chunk, one
+    # index wider toward the middle, and that extra eigenvalue settles the
+    # chunk's boundary and bounds the middle, so nothing is bisected
+    calls = counted_lapack(monkeypatch)
+    n, width = 200, spectral._CHUNK
     m = random_symmetric(rng, n)
-    for k in range(1, spectral._CHUNK):
+    for k in range(1, width):
         calls.clear()
         top_k_eigen(m, k)
-        # a semicircle spectrum: the k + 1 largest magnitudes lie in the end
-        # chunks, so only those two open, and two boundaries are settled
-        assert ranges("dstemr") == [(1, 8), (n - 7, n)]
-        assert sorted(ranges("dstebz")) == [(i, i) for i in (1, 8, 9, n - 8, n - 7, n)]
-        assert {name for name, _ in calls} == {"dsytrd", "dstebz", "dstemr", "dormtr"}
+        # the k + 1 largest magnitudes lie in the end chunks, so only those
+        # two open
+        assert ranges(calls, "dstemr") == [(1, width + 1), (n - width, n)]
+        assert {name for name, _ in calls} == {"dsytrd", "dstemr", "dormtr"}
     for k in (17, 24):
         calls.clear()
         top_k_eigen(m, k)
-        opened = ranges("dstemr")
-        assert len(opened) > 2 and all(iu - il + 1 == spectral._CHUNK for il, iu in opened)
-        assert len(ranges("dstebz")) == 2 + 2 * len(opened)
-    # one order smaller, dsterf computes every eigenvalue at once instead
-    calls.clear()
-    top_k_eigen(random_symmetric(rng, n - 1), 3)
-    assert [name for name, _ in calls].count("dsterf") == 1 and not ranges("dstebz")
+        opened = ranges(calls, "dstemr")
+        assert len(opened) > 2 and all(iu - il == width for il, iu in opened)
+        assert not ranges(calls, "dstebz")
+
+
+@pytest.mark.parametrize("n, k", [(200, 3), (800, 5)])
+def test_call_budget_on_well_separated_spectra(monkeypatch, rng, n, k):
+    # the benchmark's shapes, a fit at n = 200 and k = 3 and a scan to
+    # k = 5 at n = 800, cost one dstemr call per end and no bisection
+    calls = counted_lapack(monkeypatch)
+    top_k_eigen(with_spectrum(rng, spaced(rng, -1.0, 1.0, n)), k)
+    names = [name for name, _ in calls]
+    assert names.count("dstemr") == 2
+    assert set(names) == {"dsytrd", "dstemr", "dormtr"}
+
+
+@pytest.mark.parametrize("refused", ["low", "high", "both"])
+def test_dstemr_refusing_an_end_range(monkeypatch, rng, refused):
+    # an end's first call can be refused: bisection then gives that end's
+    # extreme eigenvalue for the radius and settles the end's boundary
+    n, width = N_PARTIAL + 7, spectral._CHUNK
+    ends = {"low": ((1, width + 1), (1, 1)), "high": ((n - width, n), (n, n))}
+    chosen = [ends[e] for e in ends if refused in (e, "both")]
+    calls = counted_lapack(monkeypatch, refuse=[call for call, _ in chosen])
+    check_contract(random_symmetric(rng, n), 12, 5)
+    for call, extreme in chosen:
+        assert call in ranges(calls, "dstemr") and extreme in ranges(calls, "dstebz")
+
+
+def test_a_cluster_widens_an_end_chunk(monkeypatch, rng):
+    # 12 eigenvalues within 1e-8 of the radius at the top of the spectrum:
+    # one dstemr call computes the whole cluster, and its back-transform,
+    # done in slices, keeps the prefix contract
+    calls = counted_lapack(monkeypatch)
+    n = N_PARTIAL + 5
+    spectrum = spaced(rng, -1.0, 1.0, n)
+    spectrum[-12:] = 2.0 + rng.uniform(0.0, 1e-8, 12)
+    m = with_spectrum(rng, spectrum)
+    for k_max, k in [(14, 13), (14, 1), (20, 12)]:
+        check_contract(m, k_max, k)
+    assert (n - 11, n) in ranges(calls, "dstemr")
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.integers(1, 6)), min_size=1, max_size=60))
 def test_chunk_bounds_partition_without_splitting_clusters(clusters):
-    # eigenvalues with multiplicities, ascending; opening every chunk
+    # eigenvalues with multiplicities, ascending; opening every chunk, with
+    # dstemr refusing every range that cuts a cluster
     vals = np.sort(np.repeat([v for v, _ in clusters], [r for _, r in clusters]))
-    n = len(vals)
-    tol = spectral._CLUSTER_TOL * np.abs(vals).max()
+    n, width = len(vals), spectral._CHUNK
+    tol = spectral._CLUSTER_TOL * max(-vals[0], vals[-1])
     asked = set()
+
+    def cuts(b):
+        return 0 < b < n and vals[b] - vals[b - 1] <= tol
+
+    def values(lo, hi):
+        return None if cuts(lo) or cuts(hi) else vals[lo:hi]
 
     def eigenvalue(i):
         asked.add(i)
         return float(vals[i])
 
-    steps = list(spectral._chunk_order(n, tol, eigenvalue))
+    steps = list(spectral._chunk_order(n, values, eigenvalue))
     chunks = sorted(c for new, _ in steps for c in new)
-    b = np.array([lo for lo, _ in chunks] + [n])
-    assert b[0] == 0 and [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+    b = np.array([lo for lo, *_ in chunks] + [n])
+    assert b[0] == 0 and [lo for lo, *_ in chunks[1:]] == [hi for _, hi, *_ in chunks[:-1]]
     assert (np.diff(b) > 0).all()
-    assert all(vals[c] - vals[c - 1] > tol for c in b[1:-1])
+    assert not any(cuts(c) for c in b[1:-1])
+    # a chunk's pairs come from an accepted call on its own indices, or on
+    # one more toward the middle
+    for lo, hi, clo, chi in chunks:
+        assert (clo, chi) in {(lo, hi), (lo, hi + 1), (lo - 1, hi)} and values(clo, chi) is not None
     # each step reports the largest magnitude the unopened middle holds,
-    # and after the end chunks opens the end of the middle that holds it
+    # plus tol, and after the end chunks opens the end of the middle that
+    # holds it
     unopened = np.ones(n, dtype=bool)
-    for step, (new, bound) in enumerate(steps):
+    for step, (new, ceiling) in enumerate(steps):
         if step > 0:
-            [(lo, hi)] = new
+            [(lo, hi, *_)] = new
             middle = np.flatnonzero(unopened)
             lower = abs(vals[middle[0]]) >= abs(vals[middle[-1]])
             assert (lo == middle[0]) if lower else (hi == middle[-1] + 1)
-        for lo, hi in new:
+        for lo, hi, *_ in new:
             unopened[lo:hi] = False
-        assert bound == np.abs(vals[unopened]).max(initial=-np.inf)
-    # chunks away from the clusters hold _CHUNK indices from either end,
-    # and bisection asks only for the two eigenvalues beside each boundary
-    if np.diff(vals).min(initial=np.inf) > tol and n >= 4 * spectral._CHUNK:
-        assert b[1] == spectral._CHUNK and b[-2] == n - spectral._CHUNK
-        assert asked == {i for c in b[1:-1] for i in (c - 1, c)}
+        assert ceiling == (np.abs(vals[unopened]).max() + tol if unopened.any() else -np.inf)
+    # away from the clusters the end chunks hold _CHUNK indices, and
+    # nothing is bisected
+    if np.diff(vals).min(initial=np.inf) > tol and n >= 2 * width + 2:
+        assert b[1] == width and b[-2] == n - width
+        assert not asked
 
 
 def norm_call_successive_projection(y, k):
