@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -30,8 +29,9 @@ from .harness import (
     detect_graph,
     run_dataset_suite,
     run_simulation,
+    write_csv,
     write_dataset_csv,
-    write_membership_csv,
+    write_json,
 )
 
 EXIT_CONFIG = 2
@@ -103,9 +103,9 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
     report = detect_graph(graph, k=k, k_max=k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_membership_csv(report.memberships, out / "memberships.csv")
-    (out / "labels.csv").write_text("\n".join(str(int(x)) for x in report.labels) + "\n")
-    summary = {
+    write_csv(out / "memberships.csv", report.memberships.tolist())
+    write_csv(out / "labels.csv", report.labels[:, None].tolist())
+    write_json(out / "detect.json", {
         "k": report.best_k,
         "q": report.q,
         "eta_mixed": report.eta_mixed,
@@ -116,8 +116,7 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
         "clipped_rows": report.fit.clipped_rows,
         "degenerate_rows": report.fit.degenerate_rows,
         "corner_condition": report.fit.corner_condition,
-    }
-    (out / "detect.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    })
     click.echo(f"k={report.best_k} q={report.q:.6f} (outputs in {out})")
 
 
@@ -135,11 +134,9 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
     scan = estimate_k(graph, k_max=k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["k,q"]
-    for k, q in scan.curve_rows():
-        lines.append(f"{k},{'' if q is None else repr(q)}")
-    (out / "scan.csv").write_text("\n".join(lines) + "\n")
-    (out / "scan.json").write_text(json.dumps(scan.summary(), indent=2, sort_keys=True) + "\n")
+    write_csv(out / "scan.csv", ((p.k, p.modularity.q if p.ok else None) for p in scan.curve), header=("k", "q"))
+    failures = {p.k: p.failure for p in scan.curve if not p.ok}
+    write_json(out / "scan.json", {"best_k": scan.best_k, "k_max": scan.k_max, "failures": failures})
     click.echo(f"best_k={scan.best_k} (outputs in {out})")
 
 

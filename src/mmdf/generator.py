@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -37,6 +37,40 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _MAX_ENTRY_TOL = 1e-12
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and isfinite(x)
+
+
+def _is_numbers(x) -> bool:
+    return isinstance(x, list) and all(map(_is_number, x))
+
+
+# per kind of config value: the JSON values it accepts, and its name
+_KINDS = {
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "number": (_is_number, "a finite number"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "object": (lambda x: isinstance(x, dict), "an object"),
+    "numbers": (_is_numbers, "a list of finite numbers"),
+    "matrix": (lambda x: isinstance(x, list) and all(map(_is_numbers, x)), "a list of lists of finite numbers"),
+}
+_REQUIRED = object()
+
+
+def read_key(d: dict, key: str, kind: str, default=_REQUIRED):
+    """d[key] checked against one JSON kind of _KINDS; an absent key
+    gives default (a KeyError when there is none), and null passes only
+    where the default is None. Raises ValueError naming the key."""
+    value = d[key] if default is _REQUIRED else d.get(key, default)
+    if value is None and default is None:
+        return None
+    check, name = _KINDS[kind]
+    if not check(value):
+        raise ValueError(f"{key} must be {name}, got {value!r}")
+    return value
 
 
 class Family(str, Enum):
@@ -94,10 +128,6 @@ class EdgeDistribution:
                 f"{self.family.value} family"
             )
 
-    @property
-    def requires_nonnegative_connectivity(self) -> bool:
-        return self.family in _NONNEGATIVE_MEAN
-
 
 def _equal_by_value(self, other) -> bool:
     """Dataclass equality that compares ndarray fields by value (the
@@ -110,14 +140,9 @@ def _equal_by_value(self, other) -> bool:
 
 @dataclass(frozen=True)
 class ConnectivityMatrix:
-    """Validated symmetric full-rank block-affinity matrix.
-
-    sigma_k, the smallest singular value, measures how well separated
-    the communities are and is surfaced as a diagnostic.
-    """
+    """Validated symmetric full-rank block-affinity matrix."""
 
     entries: np.ndarray
-    sigma_k: float
 
     __eq__ = _equal_by_value
 
@@ -127,12 +152,7 @@ class ConnectivityMatrix:
 
 
 class ConnectivityError(ValueError):
-    """Connectivity matrix validation failure; .reason is one of
-    'asymmetric', 'rank-deficient', 'max-entry', 'sign'."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
+    """Connectivity matrix validation failure."""
 
 
 def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> ConnectivityMatrix:
@@ -145,30 +165,24 @@ def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> Connect
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ConnectivityError("asymmetric", f"expected square matrix, got shape {p.shape}")
+        raise ConnectivityError(f"expected square matrix, got shape {p.shape}")
     if float(np.abs(p - p.T).max(initial=0.0)) > 1e-12:
-        raise ConnectivityError("asymmetric", "connectivity matrix must be symmetric")
-    singular_values = np.linalg.svd(p, compute_uv=False)
-    sigma_k = float(singular_values[-1])
+        raise ConnectivityError("connectivity matrix must be symmetric")
+    sigma_k = float(np.linalg.svd(p, compute_uv=False)[-1])
     if sigma_k <= _RANK_TOL:
         raise ConnectivityError(
-            "rank-deficient",
-            f"connectivity matrix must have full rank (smallest singular value {sigma_k:.3g})",
+            f"connectivity matrix must have full rank (smallest singular value {sigma_k:.3g})"
         )
     max_entry = float(np.abs(p).max())
     if abs(max_entry - 1.0) > _MAX_ENTRY_TOL:
+        raise ConnectivityError(f"largest |entry| must be 1 (got {max_entry!r})")
+    if distribution.family in _NONNEGATIVE_MEAN and np.any(p < 0):
         raise ConnectivityError(
-            "max-entry",
-            f"largest |entry| must be 1 (got {max_entry!r})",
-        )
-    if distribution.requires_nonnegative_connectivity and np.any(p < 0):
-        raise ConnectivityError(
-            "sign",
-            f"{distribution.family.value} family requires nonnegative connectivity entries",
+            f"{distribution.family.value} family requires nonnegative connectivity entries"
         )
     p = p.copy()
     p.setflags(write=False)
-    return ConnectivityMatrix(entries=p, sigma_k=sigma_k)
+    return ConnectivityMatrix(entries=p)
 
 
 def build_membership(
@@ -258,15 +272,16 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        distribution = EdgeDistribution(Family(d["family"]), sigma2=d.get("sigma2"))
-        connectivity = check_connectivity(np.array(d["connectivity"], dtype=float), distribution)
+        family = Family(read_key(d, "family", "str"))
+        distribution = EdgeDistribution(family, sigma2=read_key(d, "sigma2", "number", None))
+        connectivity = check_connectivity(np.array(read_key(d, "connectivity", "matrix"), dtype=float), distribution)
         return cls(
-            memberships=np.array(d["memberships"], dtype=float),
+            memberships=np.array(read_key(d, "memberships", "matrix"), dtype=float),
             connectivity=connectivity,
-            rho=float(d["rho"]),
+            rho=float(read_key(d, "rho", "number")),
             distribution=distribution,
-            sparsity=d.get("sparsity"),
-            seed=int(d.get("seed", 0)),
+            sparsity=read_key(d, "sparsity", "number", None),
+            seed=read_key(d, "seed", "int", 0),
         )
 
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import DATASETS, DatasetMissing, load_dataset
 from .dfsp import DfspReport, EstimationError, dfsp, harden
-from .generator import GeneratorSpec, sample_adjacency
+from .generator import GeneratorSpec, read_key, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import DEFAULT_K_MAX, KScanResult, estimate_k, fuzzy_weighted_modularity
@@ -39,7 +39,8 @@ __all__ = [
     "run_simulation",
     "run_dataset_suite",
     "detect_graph",
-    "write_membership_csv",
+    "write_csv",
+    "write_json",
 ]
 
 PROFILES = {"paper": 100, "ci": 25}
@@ -96,17 +97,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        profile = d.get("profile", "paper")
+        """Read a parsed JSON config; a value of the wrong JSON type
+        raises ValueError naming its key, and unknown keys are ignored."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
+        profile = read_key(d, "profile", "str", "paper")
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
         return cls(
-            generator=GeneratorSpec.from_dict(d["generator"]),
-            sweep_parameter=d.get("sweep_parameter", "rho"),
-            sweep_values=tuple(float(v) for v in d["sweep_values"]),
-            replications=int(d.get("replications", PROFILES[profile])),
-            estimate_counts=bool(d.get("estimate_counts", True)),
-            k_scan_max=int(d.get("k_scan_max", 6)),
-            seed=int(d.get("seed", 0)),
+            generator=GeneratorSpec.from_dict(read_key(d, "generator", "object")),
+            sweep_parameter=read_key(d, "sweep_parameter", "str", "rho"),
+            sweep_values=tuple(float(v) for v in read_key(d, "sweep_values", "numbers")),
+            replications=read_key(d, "replications", "int", PROFILES[profile]),
+            estimate_counts=read_key(d, "estimate_counts", "bool", True),
+            k_scan_max=read_key(d, "k_scan_max", "int", 6),
+            seed=read_key(d, "seed", "int", 0),
             profile=profile,
         )
 
@@ -141,32 +146,15 @@ class SweepReport:
     config: dict
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["value,mean_hamming,mean_relative,accuracy_rate,failures,successes"]
-        for c in self.cells:
-            acc = "" if c.accuracy is None else repr(c.accuracy)
-            lines.append(
-                f"{c.value!r},{c.mean_hamming!r},{c.mean_relative!r},{acc},{c.failures},{c.successes}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        # the first six fields; the stage and k-hat counts go to the JSON only
+        write_csv(path, (astuple(c)[:6] for c in self.cells),
+                  header=("value", "mean_hamming", "mean_relative", "accuracy_rate", "failures", "successes"))
 
     def write_json(self, path: str | Path) -> None:
-        payload = {
-            "config": self.config,
-            "cells": [
-                {
-                    "value": c.value,
-                    "mean_hamming": c.mean_hamming,
-                    "mean_relative": c.mean_relative,
-                    "accuracy_rate": c.accuracy,
-                    "failures": c.failures,
-                    "successes": c.successes,
-                    "failure_stages": c.failure_stages,
-                    "k_hat_counts": c.k_hat_counts,
-                }
-                for c in self.cells
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        cells = [asdict(c) for c in self.cells]
+        for c in cells:
+            c["accuracy_rate"] = c.pop("accuracy")
+        write_json(path, {"config": self.config, "cells": cells})
 
 
 def _run_replicate(args) -> tuple[float, float, int | None, str | None, bool]:
@@ -313,20 +301,9 @@ def run_dataset_suite(
 
 
 def write_dataset_csv(rows: list[DatasetRow], path: str | Path) -> None:
-    lines = ["dataset,n,best_k,q,eta_mixed,eta_pure,mislabels,notice"]
-    for r in rows:
-        fields = [
-            r.name,
-            "" if r.n is None else str(r.n),
-            "" if r.best_k is None else str(r.best_k),
-            "" if r.q_best is None else repr(r.q_best),
-            "" if r.eta_mixed is None else repr(r.eta_mixed),
-            "" if r.eta_pure is None else repr(r.eta_pure),
-            "" if r.mislabels is None else str(r.mislabels),
-            (r.notice or "").replace(",", ";"),
-        ]
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per dataset; a comma in the notice becomes ";"."""
+    write_csv(path, ((*astuple(r)[:-1], r.notice and r.notice.replace(",", ";")) for r in rows),
+              header=("dataset", "n", "best_k", "q", "eta_mixed", "eta_pure", "mislabels", "notice"))
 
 
 @dataclass(frozen=True)
@@ -387,7 +364,23 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
     )
 
 
-def write_membership_csv(memberships: np.ndarray, path: str | Path) -> None:
-    """One row per node, full decimal precision."""
-    lines = [",".join(repr(float(x)) for x in row) for row in np.asarray(memberships)]
+def _cell(x) -> str:
+    return "" if x is None else repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def write_csv(path: str | Path, rows, header=None) -> None:
+    """Every CSV output: one line per row, after the header if given. A
+    None cell is blank, a float is repr(float(x)) (full precision, and
+    nan for NaN), anything else is str(x)."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Every JSON output: indented, keys sorted, and strict JSON, so a
+    non-finite float (which JSON cannot hold) is written as null."""
+    # keys are sorted in the first pass, where int keys sort as numbers;
+    # parsing it back turns NaN and Infinity into None and keeps the order
+    plain = json.loads(json.dumps(payload, sort_keys=True), parse_constant=lambda _: None)
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")

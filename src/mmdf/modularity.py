@@ -145,16 +145,6 @@ class KScanResult:
         """The curve's point at k, or None when the scan did not reach k."""
         return self.curve[k - 1] if 1 <= k <= len(self.curve) else None
 
-    def curve_rows(self) -> list[tuple[int, float | None]]:
-        return [(p.k, p.modularity.q if p.ok else None) for p in self.curve]
-
-    def summary(self) -> dict:
-        return {
-            "best_k": self.best_k,
-            "k_max": self.k_max,
-            "failures": {p.k: p.failure for p in self.curve if not p.ok},
-        }
-
 
 def estimate_k(
     g: WeightedGraph,

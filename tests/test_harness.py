@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import mmdf
 from mmdf.cli import main
@@ -385,7 +388,8 @@ class TestCli:
         result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "error: bad config: rho=inf outside the admissible range" in result.output
+        # a JSON number must be finite, so the reader refuses it before check_rho
+        assert "error: bad config: sweep_values must be a list of finite numbers, got [inf]" in result.output
 
     def test_simulate_uniform_support_overflow_exits_2(self, tmp_path):
         # a uniform mean above half the float64 limit has an infinite support
@@ -438,3 +442,94 @@ class TestCli:
         assert payload["config"]["profile"] == "ci"
         assert payload["config"]["replications"] == 25
         assert payload["cells"][0]["successes"] + payload["cells"][0]["failures"] == 25
+
+
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+
+
+def is_matrix(v):
+    return isinstance(v, list) and all(isinstance(r, list) and all(map(is_number, r)) for r in v)
+
+
+# the JSON type the README documents for each config key ("generator.x"
+# is key x of the generator object)
+DOCUMENTED = {
+    "generator": lambda v: isinstance(v, dict),
+    "sweep_parameter": lambda v: isinstance(v, str),
+    "sweep_values": lambda v: isinstance(v, list) and all(map(is_number, v)),
+    "replications": is_int,
+    "estimate_counts": lambda v: isinstance(v, bool),
+    "k_scan_max": is_int,
+    "seed": is_int,
+    "profile": lambda v: isinstance(v, str),
+    "generator.memberships": is_matrix,
+    "generator.connectivity": is_matrix,
+    "generator.rho": is_number,
+    "generator.family": lambda v: isinstance(v, str),
+    "generator.sigma2": lambda v: v is None or is_number(v),
+    "generator.sparsity": lambda v: v is None or is_number(v),
+    "generator.seed": is_int,
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def simulate_with(key, value, out):
+    """Run simulate on the small point-mass config with one key replaced."""
+    payload = small_config(values=(2.0,), reps=2).to_dict()
+    section, _, name = key.rpartition(".")
+    (payload[section] if section else payload)[name] = value
+    path = Path(out) / "config.json"
+    path.write_text(json.dumps(payload))
+    return CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(Path(out) / "o")])
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("key, value", [
+        ("sweep_values", 5),
+        ("replications", None),
+        ("generator.sparsity", "0.5"),
+        ("replications", 2.5),
+        ("estimate_counts", "no"),
+        ("k_scan_max", 1.5),
+        ("seed", True),
+        ("generator.rho", True),
+    ])
+    def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, key, value):
+        result = simulate_with(key, value, tmp_path)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: bad config: {key.rpartition('.')[2]} must be " in result.output
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "error: bad config: config must be a JSON object" in result.output
+
+    def test_n_and_k_round_trip_and_unknown_keys_are_ignored(self):
+        config = small_config(values=(2.0,), reps=2)
+        payload = config.to_dict()
+        assert (payload["generator"]["n"], payload["generator"]["k"]) == (30, 3)
+        payload["comment"] = payload["generator"]["comment"] = "ignored"
+        assert ExperimentConfig.from_dict(payload) == config
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(sorted(DOCUMENTED)), value=json_values)
+    def test_any_json_value_exits_0_or_2_and_0_only_when_documented(self, key, value):
+        with tempfile.TemporaryDirectory() as out:
+            result = simulate_with(key, value, out)
+        assert result.exit_code in (0, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 0:
+            assert DOCUMENTED[key](value)
