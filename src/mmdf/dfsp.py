@@ -85,9 +85,8 @@ def memberships_from_vectors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Vertex hunting + simplex inversion on eigenvector rows.
 
     Returns (memberships, vertex_indices, clipped_rows, degenerate_rows,
-    corner_condition).
-    Shared by the adjacency-based and population-based entry points; the
-    result is invariant to sign flips of any column of `vectors`.
+    corner_condition), the fit's second half in dfsp. The result is
+    invariant to sign flips of any column of `vectors`.
     """
     n, k = vectors.shape
     vertices = successive_projection(vectors, k)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -82,8 +83,19 @@ class Family(str, Enum):
     POINT_MASS = "point_mass"
 
 
-# families whose mean must be nonnegative, hence P >= 0 entrywise
-_NONNEGATIVE_MEAN = {Family.BERNOULLI, Family.POISSON, Family.UNIFORM}
+# per family: the largest admissible rho and whether rho may equal it
+# (rho > 0 in every family), and the interval [lo, hi] every mean must
+# lie in. A family whose means start at 0 needs P >= 0 entrywise
+_RULES = {
+    Family.NORMAL: ((inf, False), (-inf, inf)),
+    Family.BERNOULLI: ((1.0, True), (0.0, 1.0)),
+    Family.POISSON: ((inf, False), (0.0, inf)),
+    # weights ~ uniform(0, 2 * mean), whose support must be finite
+    Family.UNIFORM: ((inf, False), (0.0, float_info.max / 2.0)),
+    # weights +-1
+    Family.SIGNED: ((1.0, False), (-1.0, 1.0)),
+    Family.POINT_MASS: ((inf, False), (-inf, inf)),
+}
 
 
 @dataclass(frozen=True)
@@ -91,15 +103,7 @@ class EdgeDistribution:
     """Edge-weight family plus its parameters.
 
     sigma2 is the variance of the normal family and is ignored (must be
-    unset) for every other family. Each family constrains the admissible
-    range of the global scale rho:
-
-        normal     rho in (0, inf)
-        bernoulli  rho in (0, 1]
-        poisson    rho in (0, inf)
-        uniform    rho in (0, inf)   (weights ~ uniform(0, 2*mean))
-        signed     rho in (0, 1)     (weights +-1 with mean in [-1, 1])
-        point_mass rho in (0, inf)
+    unset) for every other family.
     """
 
     family: Family
@@ -116,13 +120,8 @@ class EdgeDistribution:
     def check_rho(self, rho: float) -> None:
         """Raise ValueError unless rho lies in the family's range (NaN
         lies in none)."""
-        if self.family is Family.BERNOULLI:
-            ok = 0.0 < rho <= 1.0
-        elif self.family is Family.SIGNED:
-            ok = 0.0 < rho < 1.0
-        else:
-            ok = 0.0 < rho < inf
-        if not ok:
+        top, inclusive = _RULES[self.family][0]
+        if not (0.0 < rho < top or inclusive and rho == top):
             raise ValueError(
                 f"rho={rho} outside the admissible range of the "
                 f"{self.family.value} family"
@@ -176,7 +175,8 @@ def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> Connect
     max_entry = float(np.abs(p).max())
     if abs(max_entry - 1.0) > _MAX_ENTRY_TOL:
         raise ConnectivityError(f"largest |entry| must be 1 (got {max_entry!r})")
-    if distribution.family in _NONNEGATIVE_MEAN and np.any(p < 0):
+    _, (lo, _) = _RULES[distribution.family]
+    if lo == 0.0 and np.any(p < 0):
         raise ConnectivityError(
             f"{distribution.family.value} family requires nonnegative connectivity entries"
         )
@@ -246,8 +246,17 @@ class GeneratorSpec:
         self.distribution.check_rho(self.rho)
         if self.sparsity is not None and not 0.0 <= self.sparsity <= 1.0:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
-        # mean-domain check for the bounded families
-        _check_mean_domain(_block_mean(self), self.distribution)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        omega = _block_mean(self)
+        _, (lo, hi) = _RULES[self.distribution.family]
+        bad = (omega < lo) | (omega > hi)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"mean {omega[i, j]!r} at entry ({i}, {j}) is outside the "
+                f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
+            )
 
     @property
     def n(self) -> int:
@@ -282,28 +291,6 @@ class GeneratorSpec:
             distribution=distribution,
             sparsity=read_key(d, "sparsity", "number", None),
             seed=read_key(d, "seed", "int", 0),
-        )
-
-
-def _check_mean_domain(omega: np.ndarray, distribution: EdgeDistribution) -> None:
-    fam = distribution.family
-    if fam is Family.BERNOULLI:
-        lo, hi = 0.0, 1.0
-    elif fam is Family.SIGNED:
-        lo, hi = -1.0, 1.0
-    elif fam is Family.POISSON:
-        lo, hi = 0.0, np.inf
-    elif fam is Family.UNIFORM:
-        # the support [0, 2 * mean] must be finite
-        lo, hi = 0.0, np.finfo(float).max / 2.0
-    else:
-        return
-    bad = (omega < lo) | (omega > hi)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"mean {omega[i, j]!r} at entry ({i}, {j}) is outside the "
-            f"{fam.value} family's domain [{lo}, {hi}]"
         )
 
 

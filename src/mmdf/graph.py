@@ -34,17 +34,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _check_symmetric_zero_diag(w: np.ndarray, test_symmetry: bool = True) -> None:
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("adjacency contains non-finite entries")
-    if test_symmetry and not np.array_equal(w, w.T):
-        raise ValueError("adjacency must be exactly symmetric")
-    if np.diagonal(w).any():
-        raise ValueError("adjacency diagonal must be zero (no self-edges)")
-
-
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected weighted network as a dense symmetric matrix.
@@ -66,7 +55,14 @@ class WeightedGraph:
 
     def __post_init__(self, _exact_symmetric: bool):
         w = np.asarray(self.weights, dtype=float)
-        _check_symmetric_zero_diag(w, test_symmetry=not _exact_symmetric)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("adjacency contains non-finite entries")
+        if not _exact_symmetric and not np.array_equal(w, w.T):
+            raise ValueError("adjacency must be exactly symmetric")
+        if np.diagonal(w).any():
+            raise ValueError("adjacency diagonal must be zero (no self-edges)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.node_labels is not None:
@@ -94,7 +90,9 @@ class WeightedGraph:
 @dataclass(frozen=True)
 class SignSplit:
     """Degrees and masses of the two nonnegative parts of a signed
-    adjacency W, max(0, W) and max(0, -W), both scaled by 2**shift.
+    adjacency W, max(0, W) and max(0, -W), both scaled by 2**shift:
+    degrees is a read-only (2, n) array, one row per part, and masses
+    the pair of their total edge masses, in the same order.
 
     shift brings the largest |weight| into [1, 2). The scaling is exact
     (short of weights that underflow), so scale-free scores are unchanged
@@ -103,10 +101,8 @@ class SignSplit:
     computed from row blocks of W.
     """
 
-    pos_degrees: np.ndarray
-    neg_degrees: np.ndarray
-    pos_mass: float
-    neg_mass: float
+    degrees: np.ndarray
+    masses: tuple[float, float]
     shift: int
 
 
@@ -160,13 +156,7 @@ def sign_split(g: WeightedGraph) -> SignSplit:
     for rows, parts in _sign_blocks(w, shift):
         parts.sum(axis=2, out=degrees[:, rows])
     degrees.setflags(write=False)
-    return SignSplit(
-        pos_degrees=degrees[0],
-        neg_degrees=degrees[1],
-        pos_mass=float(degrees[0].sum() / 2.0),
-        neg_mass=float(degrees[1].sum() / 2.0),
-        shift=shift,
-    )
+    return SignSplit(degrees, tuple(float(d.sum() / 2.0) for d in degrees), shift)
 
 
 @dataclass(frozen=True)
@@ -175,28 +165,19 @@ class GroundTruth:
 
     labels: hard community index per node (0-based), or None.
     memberships: (n, K) row-stochastic soft assignment, or None.
-    Labels default to the row argmax of memberships; when both are
-    given, labels must equal it.
+    Either may be given without the other; dfsp.harden turns
+    memberships into labels.
     """
 
     labels: np.ndarray | None = None
     memberships: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
-            lab.setflags(write=False)
-            object.__setattr__(self, "labels", lab)
-        if self.memberships is not None:
-            m = np.asarray(self.memberships, dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, "memberships", m)
-            argmax = np.argmax(m, axis=1)
-            if self.labels is None:
-                argmax.setflags(write=False)
-                object.__setattr__(self, "labels", argmax)
-            elif not np.array_equal(self.labels, argmax):
-                raise ValueError("labels disagree with membership row argmax")
+        for name, dtype in (("labels", int), ("memberships", float)):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name), dtype=dtype)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int | None:

@@ -1,11 +1,12 @@
 """Monte Carlo experiment harness and report emission.
 
-run_simulation drives the full synthetic protocol: build the expected
-adjacency for each sweep value, sample replicate networks, estimate
-memberships, score errors against the generating truth, optionally scan
-for the community count, and aggregate per sweep value. Replicate RNG
-streams are spawned from one root seed so any replicate is reproducible
-in isolation and results do not depend on scheduling order.
+run_simulation drives the full synthetic protocol: from the generator
+spec at each sweep value (which ExperimentConfig validates once), sample
+replicate networks, estimate memberships, score errors against the
+generating truth, optionally scan for the community count, and
+aggregate per sweep value. Replicate RNG streams are spawned from one
+root seed so any replicate is reproducible in isolation and results do
+not depend on scheduling order.
 
 run_dataset_suite evaluates the estimator on registered real networks:
 community-count scan, modularity at the selected count, purity indices,
@@ -26,7 +27,7 @@ from .datasets import DATASETS, DatasetMissing, load_dataset
 from .dfsp import DfspReport, EstimationError, dfsp, harden
 from .generator import GeneratorSpec, read_key, sample_adjacency
 from .graph import WeightedGraph
-from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
+from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import DEFAULT_K_MAX, KScanResult, estimate_k, fuzzy_weighted_modularity
 from .spectral import top_k_eigen
 
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.estimate_counts and not 1 <= self.k_scan_max <= self.generator.n:
             raise ValueError(
                 f"k_scan_max={self.k_scan_max} out of range for n={self.generator.n}"
@@ -157,10 +160,11 @@ class SweepReport:
         write_json(path, {"config": self.config, "cells": cells})
 
 
-def _run_replicate(args) -> tuple[float, float, int | None, str | None, bool]:
-    """One protocol replicate; returns (hamming, relative, k_hat, stage,
-    scan_failed): stage names the failing stage of the fit at the true k
-    (None when it succeeded), and the scan runs only after a successful fit.
+def _run_replicate(args) -> tuple[ErrorPair | None, str | None]:
+    """One protocol replicate; returns (errors, outcome). When the fit at
+    the true k fails, errors is None and outcome the failing stage;
+    otherwise outcome is the k the scan selected as a str, "failed" when
+    the scan failed at every k, or None when the sweep does not scan.
 
     One eigendecomposition serves both the fit at the true k and the scan.
     """
@@ -171,15 +175,14 @@ def _run_replicate(args) -> tuple[float, float, int | None, str | None, bool]:
     try:
         report = dfsp(spectrum, spec.k)
     except EstimationError as exc:
-        return (np.nan, np.nan, None, exc.stage, False)
+        return None, exc.stage
     errors = membership_errors(report.memberships, truth.memberships)
-    k_hat = None
-    if estimate_counts:
-        try:
-            k_hat = estimate_k(graph, k_max=k_scan_max, eigen=spectrum).best_k
-        except EstimationError:
-            return (errors.hamming, errors.relative, None, None, True)
-    return (errors.hamming, errors.relative, k_hat, None, False)
+    if not estimate_counts:
+        return errors, None
+    try:
+        return errors, str(estimate_k(graph, k_max=k_scan_max, eigen=spectrum).best_k)
+    except EstimationError:
+        return errors, "failed"
 
 
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
@@ -187,8 +190,11 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
 
     Deterministic given the config (including its seed), regardless of
     worker count: every replicate's RNG stream is derived from
-    (config.seed, value index, replicate index).
+    (config.seed, value index, replicate index). Raises ValueError,
+    before any sampling, unless workers >= 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = []
     with ExitStack() as stack:
         run = map
@@ -202,23 +208,20 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
                 for r in range(config.replications)
             ]
             results = list(run(_run_replicate, tasks))
-            ok = [res for res in results if res[3] is None]
-            k_hats = [k for _, _, k, _, _ in ok if k is not None]
-            accuracy = None
-            if config.estimate_counts and k_hats:
-                accuracy = accuracy_rate(k_hats, spec.k)
-            stages = Counter(stage for *_, stage, _ in results if stage is not None)
-            scans = Counter("failed" if failed else str(k) for _, _, k, _, failed in ok if failed or k is not None)
+            ok = [errors for errors, _ in results if errors is not None]
+            stages = Counter(outcome for errors, outcome in results if errors is None)
+            scans = [outcome for errors, outcome in results if errors is not None and outcome is not None]
+            k_hats = [int(k) for k in scans if k != "failed"]
             cells.append(
                 SweepCell(
                     value=float(value),
-                    mean_hamming=float(np.mean([h for h, *_ in ok])) if ok else float("nan"),
-                    mean_relative=float(np.mean([r for _, r, *_ in ok])) if ok else float("nan"),
-                    accuracy=accuracy,
+                    mean_hamming=float(np.mean([e.hamming for e in ok])) if ok else float("nan"),
+                    mean_relative=float(np.mean([e.relative for e in ok])) if ok else float("nan"),
+                    accuracy=accuracy_rate(k_hats, spec.k) if k_hats else None,
                     failures=len(results) - len(ok),
                     successes=len(ok),
                     failure_stages=dict(sorted(stages.items())),
-                    k_hat_counts=dict(sorted(scans.items())),
+                    k_hat_counts=dict(sorted(Counter(scans).items())),
                 )
             )
     return SweepReport(cells=tuple(cells), config=config.to_dict())

@@ -83,9 +83,9 @@ def fuzzy_weighted_modularity(
              and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in memberships))
     ms = [_checked_memberships(g, m) for m in (memberships if batch else [memberships])]
     split = g._split
-    total = 2.0 * split.pos_mass + 2.0 * split.neg_mass
-    pos_weight = 2.0 * split.pos_mass / total if total else 0.0
-    neg_weight = 2.0 * split.neg_mass / total if total else 0.0
+    total = 2.0 * split.masses[0] + 2.0 * split.masses[1]
+    # (pos_weight, neg_weight)
+    weights = tuple(2.0 * mass / total if total else 0.0 for mass in split.masses)
     # pos @ m and neg @ m for every m of two or more columns, assembled
     # from row blocks of the two parts in one pass over W. An empty graph
     # or a single community needs none: it scores exact zero (with one
@@ -98,17 +98,13 @@ def fuzzy_weighted_modularity(
     values = []
     for i, m in enumerate(ms):
         if i not in products:
-            values.append(ModularityValue(0.0, 0.0, 0.0, pos_weight, neg_weight))
+            values.append(ModularityValue(0.0, 0.0, 0.0, *weights))
             continue
-        pos_m, neg_m = products.pop(i)
-        q_pos = 0.0
-        if split.pos_mass > 0:
-            q_pos = _soft_modularity(pos_m, split.pos_degrees, split.pos_mass, m)
-        q_neg = 0.0
-        if split.neg_mass > 0:
-            q_neg = _soft_modularity(neg_m, split.neg_degrees, split.neg_mass, m)
-        q = pos_weight * q_pos - neg_weight * q_neg
-        values.append(ModularityValue(q=q, q_pos=q_pos, q_neg=q_neg, pos_weight=pos_weight, neg_weight=neg_weight))
+        # (q_pos, q_neg): each part scores zero when it has no mass
+        parts = [_soft_modularity(part_m, degrees, mass, m) if mass > 0 else 0.0
+                 for part_m, degrees, mass in zip(products.pop(i), split.degrees, split.masses)]
+        q = weights[0] * parts[0] - weights[1] * parts[1]
+        values.append(ModularityValue(q, *parts, *weights))
     return values if batch else values[0]
 
 

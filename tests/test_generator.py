@@ -1,4 +1,6 @@
+import re
 import warnings
+from math import inf, isinf, nan
 
 import numpy as np
 import pytest
@@ -114,6 +116,82 @@ class TestRhoRanges:
         else:
             with pytest.raises(ValueError, match="admissible range"):
                 distribution.check_rho(rho)
+
+
+# each family's rules, written out independently of the code: the
+# largest admissible rho, whether rho may equal it, and the interval
+# [lo, hi] every mean must lie in
+FAMILY_RULES = {
+    Family.NORMAL: (inf, False, -inf, inf),
+    Family.BERNOULLI: (1.0, True, 0.0, 1.0),
+    Family.POISSON: (inf, False, 0.0, inf),
+    Family.UNIFORM: (inf, False, 0.0, 8.988465674311579e307),
+    Family.SIGNED: (1.0, False, -1.0, 1.0),
+    Family.POINT_MASS: (inf, False, -inf, inf),
+}
+
+
+def family_distribution(family: Family) -> EdgeDistribution:
+    return EdgeDistribution(family, sigma2=1.0 if family is Family.NORMAL else None)
+
+
+def one_node_spec(family: Family, mean: float) -> GeneratorSpec:
+    # one node in one community, so the block mean is rho times the one
+    # connectivity entry, which is built without check_connectivity; rho
+    # is 1, or 1/2 where 1 is inadmissible (halving and doubling are exact)
+    rho = 0.5 if family is Family.SIGNED else 1.0
+    p = ConnectivityMatrix(entries=np.array([[mean / rho]]))
+    return GeneratorSpec(memberships=np.ones((1, 1)), connectivity=p, rho=rho,
+                         distribution=family_distribution(family))
+
+
+class TestFamilyRules:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_rho_range(self, family):
+        top, inclusive, _, _ = FAMILY_RULES[family]
+        cases = [
+            (0.0, False),
+            (5e-324, True),
+            (float(np.nextafter(top, 0.0)), True),
+            (top, inclusive),
+            (float(np.nextafter(top, inf)), False),
+            (inf, False),
+            (nan, False),
+        ]
+        distribution = family_distribution(family)
+        for rho, ok in cases:
+            if ok:
+                distribution.check_rho(rho)
+                continue
+            message = f"rho={rho} outside the admissible range of the {family.value} family"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                distribution.check_rho(rho)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_mean_domain_ends(self, family):
+        _, _, lo, hi = FAMILY_RULES[family]
+        for end, outward in ((lo, -inf), (hi, inf)):
+            one_node_spec(family, end)
+            if isinf(end):
+                continue
+            beyond = np.nextafter(end, outward)
+            message = (f"mean {beyond!r} at entry (0, 0) is outside the "
+                       f"{family.value} family's domain [{lo}, {hi}]")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                one_node_spec(family, float(beyond))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_nonnegative_connectivity_exactly_where_means_start_at_zero(self, family):
+        distribution = family_distribution(family)
+        # -0.0 is not negative
+        check_connectivity(np.array([[1.0, -0.0], [-0.0, 1.0]]), distribution)
+        negative = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        if FAMILY_RULES[family][2] != 0.0:
+            check_connectivity(negative, distribution)
+            return
+        message = f"{family.value} family requires nonnegative connectivity entries"
+        with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+            check_connectivity(negative, distribution)
 
 
 class TestPopulation:

@@ -204,24 +204,23 @@ class TestSignSplit:
         pos, neg = dense_parts(w, s.shift)
         assert np.all(pos == 0)
         assert neg[0, 1] == 1.0  # the largest |weight| is scaled into [1, 2)
-        assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
-        assert s.pos_mass == 0.0
-        assert np.ldexp(s.neg_mass, -s.shift) == 2.0
+        assert np.array_equal(s.degrees[1], neg.sum(axis=1))
+        assert s.masses[0] == 0.0
+        assert np.ldexp(s.masses[1], -s.shift) == 2.0
 
     def test_pure_positive(self):
         g = WeightedGraph(np.array([[0.0, 3.0], [3.0, 0.0]]))
         s = sign_split(g)
-        assert np.ldexp(s.pos_mass, -s.shift) == 3.0
-        assert s.neg_mass == 0.0
+        assert np.ldexp(s.masses[0], -s.shift) == 3.0
+        assert s.masses[1] == 0.0
 
     def test_mixed_hand_sum(self):
         w = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         s = sign_split(WeightedGraph(w))
         # by hand: one positive pair and one negative pair, each mass 1
-        assert s.pos_mass == 1.0
-        assert s.neg_mass == 1.0
-        assert np.array_equal(s.pos_degrees, [1.0, 1.0, 0.0])
-        assert np.array_equal(s.neg_degrees, [1.0, 0.0, 1.0])
+        assert s.masses == (1.0, 1.0)
+        assert np.array_equal(s.degrees, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        assert not s.degrees.flags.writeable
 
     def test_reconstruction_and_disjoint_support(self, rng):
         # one block up to 128 nodes, two blocks of the entry budget just
@@ -240,7 +239,5 @@ class TestSignSplit:
             assert np.array_equal(pos, dense_pos) and np.array_equal(neg, dense_neg)
             assert np.array_equal(pos - neg, np.ldexp(w, s.shift))
             assert np.all(pos * neg == 0.0)
-            assert np.array_equal(s.pos_degrees, pos.sum(axis=1))
-            assert np.array_equal(s.neg_degrees, neg.sum(axis=1))
-            assert s.pos_mass == pos.sum(axis=1).sum() / 2.0
-            assert s.neg_mass == neg.sum(axis=1).sum() / 2.0
+            assert np.array_equal(s.degrees, [pos.sum(axis=1), neg.sum(axis=1)])
+            assert s.masses == (pos.sum(axis=1).sum() / 2.0, neg.sum(axis=1).sum() / 2.0)

@@ -244,6 +244,17 @@ class TestCli:
         assert result.exit_code == 0 or "error: " in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_simulate_workers_below_one_exits_2_before_sampling(self, tmp_path, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("mmdf.harness.sample_adjacency", refuse)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(write_config(tmp_path)),
+                                           "--workers", workers, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"error: bad config: workers must be >= 1, got {workers}"]
+
     def test_simulate_missing_config_exits_3(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--config", str(tmp_path / "none.json")])
         assert result.exit_code == 3
@@ -465,7 +476,7 @@ DOCUMENTED = {
     "replications": is_int,
     "estimate_counts": lambda v: isinstance(v, bool),
     "k_scan_max": is_int,
-    "seed": is_int,
+    "seed": lambda v: is_int(v) and v >= 0,
     "profile": lambda v: isinstance(v, str),
     "generator.memberships": is_matrix,
     "generator.connectivity": is_matrix,
@@ -473,7 +484,7 @@ DOCUMENTED = {
     "generator.family": lambda v: isinstance(v, str),
     "generator.sigma2": lambda v: v is None or is_number(v),
     "generator.sparsity": lambda v: v is None or is_number(v),
-    "generator.seed": is_int,
+    "generator.seed": lambda v: is_int(v) and v >= 0,
 }
 
 json_values = st.recursive(
@@ -483,14 +494,15 @@ json_values = st.recursive(
 )
 
 
-def simulate_with(key, value, out):
-    """Run simulate on the small point-mass config with one key replaced."""
+def simulate_with(key, value, out, *args):
+    """Run simulate on the small point-mass config with one key replaced
+    and any further arguments."""
     payload = small_config(values=(2.0,), reps=2).to_dict()
     section, _, name = key.rpartition(".")
     (payload[section] if section else payload)[name] = value
     path = Path(out) / "config.json"
     path.write_text(json.dumps(payload))
-    return CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(Path(out) / "o")])
+    return CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(Path(out) / "o"), *args])
 
 
 class TestConfigReader:
@@ -509,6 +521,16 @@ class TestConfigReader:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"error: bad config: {key.rpartition('.')[2]} must be " in result.output
+
+    @pytest.mark.parametrize("key, value, args, seed", [
+        ("seed", -1, (), -1),
+        ("generator.seed", -5, (), -5),
+        ("seed", 0, ("--seed", "-3"), -3),
+    ])
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, key, value, args, seed):
+        result = simulate_with(key, value, tmp_path, *args)
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"error: bad config: seed must be >= 0, got {seed}"]
 
     def test_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "config.json"
