@@ -82,9 +82,9 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
         config = replace(config, seed=seed)
     if profile is not None:
         config = replace(config, profile=profile, replications=PROFILES[profile])
+    report = run_simulation(config, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_simulation(config, workers=workers)
     report.write_csv(out / "sweep.csv")
     report.write_json(out / "sweep.json")
     click.echo(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")

@@ -14,14 +14,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from math import inf, isfinite, sqrt
 from sys import float_info
 
 import numpy as np
 
 from .dfsp import validate_memberships
-from .graph import GroundTruth, WeightedGraph
+from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph
 
 __all__ = [
     "Family",
@@ -248,13 +247,13 @@ class GeneratorSpec:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        omega = _block_mean(self)
+        omega = self.rho * m @ self.connectivity.entries @ m.T
         _, (lo, hi) = _RULES[self.distribution.family]
         bad = (omega < lo) | (omega > hi)
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise ValueError(
-                f"mean {omega[i, j]!r} at entry ({i}, {j}) is outside the "
+                f"mean {float(omega[i, j])!r} at entry ({i}, {j}) is outside the "
                 f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
             )
 
@@ -294,12 +293,9 @@ class GeneratorSpec:
         )
 
 
-def _block_mean(spec: GeneratorSpec, scale: float = 1.0) -> np.ndarray:
-    # scale * rho * Pi P Pi' as computed; symmetric only up to rounding.
-    # A power-of-two scale is exact, so scale 0.5 gives bitwise half the
-    # mean without overflowing where the mean is near the float64 limit
-    m = spec.memberships
-    return scale * spec.rho * m @ spec.connectivity.entries @ m.T
+def _half_factor(spec: GeneratorSpec) -> np.ndarray:
+    # 0.5 * rho * Pi P: half the mean is this times Pi', exactly
+    return 0.5 * spec.rho * spec.memberships @ spec.connectivity.entries
 
 
 def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
@@ -308,7 +304,8 @@ def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
     This is the rank-k expectation object; only sampled networks zero
     their diagonal.
     """
-    half = _block_mean(spec, 0.5)
+    # halves, whose sum stays finite where the mean is near the float64 limit
+    half = _half_factor(spec) @ spec.memberships.T
     omega = half + half.T
     omega.setflags(write=False)
     return omega
@@ -359,43 +356,6 @@ def _draw_weights(rng: np.random.Generator, means: np.ndarray, distribution: Edg
     return means
 
 
-# rows per tile when sampling folds the block mean onto its upper
-# triangle and mirrors the draws back: a tile of the transposed operand
-# (64 rows of W) stays in cache
-_TILE = 64
-
-
-@lru_cache(maxsize=4)
-def _strict_upper(n: int) -> np.ndarray:
-    """Read-only boolean mask of an n x n matrix's strict upper triangle."""
-    upper = np.arange(n)[:, None] < np.arange(n)
-    upper.setflags(write=False)
-    return upper
-
-
-def _fold_onto_upper(a: np.ndarray) -> None:
-    """a[i, j] += a[j, i] for every i < j, in place, one tile of rows at
-    a time. Entries on and below the diagonal keep their values (a -0.0
-    may become +0.0)."""
-    n = a.shape[0]
-    for start in range(0, n, _TILE):
-        end = min(start + _TILE, n)
-        a[start:end, end:] += a[end:, start:end].T
-        tile = a[start:end, start:end]
-        tile += np.triu(tile.T, 1)
-
-
-def _mirror_upper(a: np.ndarray) -> None:
-    """Overwrite a's lower triangle with its strict upper one transposed
-    and zero the diagonal, one tile of rows at a time."""
-    n = a.shape[0]
-    for start in range(0, n, _TILE):
-        end = min(start + _TILE, n)
-        a[end:, start:end] = a[start:end, end:].T
-        upper = np.triu(a[start:end, start:end], 1)
-        np.add(upper, upper.T, out=a[start:end, start:end])
-
-
 def sample_adjacency(
     spec: GeneratorSpec,
     rng: np.random.Generator | None = None,
@@ -409,29 +369,41 @@ def sample_adjacency(
     result raises DisconnectedSampleWarning but is still returned.
     Deterministic given (spec, seed); pass an explicit generator to
     drive replicate streams externally.
+
+    Each block of _BLOCK_ROWS rows forms its own means above the diagonal
+    and draws them into W in row-major order; the bytes and RNG stream
+    are those of a draw over population_adjacency at np.triu_indices.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    # the means are population_adjacency's, half + half.T, formed in
-    # place above the diagonal and drawn from in row-major order; the
-    # draws overwrite the gathered means (but for the normal family) and
-    # go back into the same buffer, so sampling holds one n x n array
-    # beside the strict upper triangle's means and uniforms
-    a = _block_mean(spec, 0.5)
-    _fold_onto_upper(a)
-    upper = _strict_upper(spec.n)
-    values = _draw_weights(rng, a[upper], spec.distribution)
-    if spec.sparsity is not None:
-        values *= rng.random(values.shape) < spec.sparsity
-    # + 0.0 turns the -0.0 of masked negative draws into +0.0
-    values += 0.0
-    a[upper] = values
-    del values
-    _mirror_upper(a)
+    n, m, left = spec.n, spec.memberships, _half_factor(spec)
+    w = np.zeros((n, n))
+    starts = range(0, n, _BLOCK_ROWS)
+    # block s's entries above the diagonal: this mask's top left corner
+    above = np.arange(_BLOCK_ROWS)[:, None] < np.arange(n)
+    for s in starts:
+        rows = slice(s, s + _BLOCK_ROWS)
+        means = left[rows] @ m[s:].T
+        means += (left[s:] @ m[rows].T).T
+        upper = above[: len(means), : n - s]
+        w[rows, s:][upper] = _draw_weights(rng, means[upper], spec.distribution)
+    # second pass: mask uniforms follow all weights; rows above s are final
+    for s in starts:
+        rows = slice(s, s + _BLOCK_ROWS)
+        block = w[rows, s:]
+        if spec.sparsity is not None:
+            upper = above[: len(block), : n - s]
+            block[upper] *= rng.random(np.count_nonzero(upper)) < spec.sparsity
+        # + 0.0 turns the -0.0 of masked negative draws into +0.0; the
+        # block's part below the diagonal still holds np.zeros' zeros
+        block += 0.0
+        w[rows, :s] = w[:s, rows].T
+        tile = np.triu(w[rows, rows], 1)
+        np.add(tile, tile.T, out=w[rows, rows])
     # exactly symmetric by construction, so only that test is skipped
-    graph = WeightedGraph(a, _exact_symmetric=True)
+    graph = WeightedGraph(w, _exact_symmetric=True)
     if spec.sparsity is not None:
-        n_components = _component_count(a != 0.0)
+        n_components = _component_count(w != 0.0)
         if n_components > 1:
             warnings.warn(
                 f"sparsity mask left {n_components} components",

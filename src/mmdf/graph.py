@@ -8,7 +8,7 @@ self-edges are not represented (the diagonal is always zero).
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -42,6 +42,8 @@ class WeightedGraph:
         weights: (n, n) float array, exactly symmetric, zero diagonal,
             all entries finite. Any sign is allowed.
         node_labels: optional display names, one per node.
+        peak: the largest |weight| (0.0 without edges), found while
+            validating, so that no later stage scans W for it again.
 
     len(graph) is the node count n.
     """
@@ -52,12 +54,15 @@ class WeightedGraph:
     # for the sampler alone, whose matrices are exactly symmetric by
     # construction: skips that one test and keeps every other check
     _exact_symmetric: InitVar[bool] = False
+    peak: float = field(init=False, repr=False)
 
     def __post_init__(self, _exact_symmetric: bool):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {w.shape}")
-        if not np.isfinite(w).all():
+        # a NaN makes both extremes NaN, and an infinity one of them
+        high, low = float(w.max(initial=0.0)), float(w.min(initial=0.0))
+        if not (math.isfinite(high) and math.isfinite(low)):
             raise ValueError("adjacency contains non-finite entries")
         if not _exact_symmetric and not np.array_equal(w, w.T):
             raise ValueError("adjacency must be exactly symmetric")
@@ -65,6 +70,7 @@ class WeightedGraph:
             raise ValueError("adjacency diagonal must be zero (no self-edges)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "peak", max(high, -low))
         if self.node_labels is not None:
             labels = tuple(map(str, self.node_labels))
             if len(labels) != w.shape[0]:
@@ -94,10 +100,10 @@ class SignSplit:
     degrees is a read-only (2, n) array, one row per part, and masses
     the pair of their total edge masses, in the same order.
 
-    shift brings the largest |weight| into [1, 2). The scaling is exact
-    (short of weights that underflow), so scale-free scores are unchanged
-    by it, and it keeps their squared degree sums finite for any finite
-    weights. The parts themselves are not kept: products with them are
+    shift brings the graph's peak into [1, 2) with no pass over W. The
+    scaling is exact (short of weights that underflow), so scale-free
+    scores are unchanged by it, and it keeps their squared degree sums
+    finite for any finite weights. The parts themselves are not kept: products with them are
     computed from row blocks of W.
     """
 
@@ -149,11 +155,9 @@ def sign_split(g: WeightedGraph) -> SignSplit:
     counts once), all scaled by 2**shift as SignSplit describes. Works
     over row blocks of W: no n x n array is allocated.
     """
-    w = g.weights
-    peak = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
-    shift = 1 - int(np.frexp(peak)[1])
+    shift = 1 - int(np.frexp(g.peak)[1])
     degrees = np.empty((2, g.n))
-    for rows, parts in _sign_blocks(w, shift):
+    for rows, parts in _sign_blocks(g.weights, shift):
         parts.sum(axis=2, out=degrees[:, rows])
     degrees.setflags(write=False)
     return SignSplit(degrees, tuple(float(d.sum() / 2.0) for d in degrees), shift)

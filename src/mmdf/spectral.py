@@ -124,30 +124,31 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
     eigenvector (weights near the float64 limit).
     """
     validated = isinstance(m, WeightedGraph)
+    peak = m.peak if validated else None
     m = m.weights if validated else np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    # non-finite entries are caught with no new pass over an exactly
-    # symmetric m from n = 128: a NaN fails the exact symmetry test and the
-    # partial solve reads the peak anyway; below, eigh dwarfs the check
-    if not validated and not np.array_equal(m, m.T):
-        _check_finite(m)
-        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
-            raise ValueError("matrix is not symmetric within tolerance")
-        m = 0.5 * (m + m.T)
+    # a graph brings its peak; an array's, after any averaging, proves it finite
+    if not validated:
+        if not np.array_equal(m, m.T):
+            _check_finite(m)
+            if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
+                raise ValueError("matrix is not symmetric within tolerance")
+            m = 0.5 * (m + m.T)
+        peak = max(float(m.max()), -float(m.min()))
+        _check_finite(peak)
 
     lapack = _lapack() if n >= _PARTIAL_MIN_N else None
     if lapack is None:
-        _check_finite(m)
         vals, full = np.linalg.eigh(m)
 
         def vectors_at(indices):
             return full[:, indices]
     else:
-        vals, vectors_at = _partial_eigh(m, lapack, k)
+        vals, vectors_at = _partial_eigh(m, lapack, k, peak)
     order = np.argsort(-np.abs(vals), kind="stable")
     vecs = vectors_at(order[:k])
     if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
@@ -218,10 +219,11 @@ def _with_workspace(routine, args: tuple, info: ctypes.c_int64, lengths: tuple) 
     _check(routine, info)
 
 
-def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
+def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
     """Eigenvalues of the exactly symmetric m (ascending) that include
     the k + 1 of largest magnitude, and a function from indices into
-    them to the (n, len(indices)) eigenvectors at those indices.
+    them to the (n, len(indices)) eigenvectors at those indices. peak is
+    m's largest |entry|, which is finite.
 
     Chunks open in _chunk_order until the k + 1 largest magnitudes among
     their values exceed every magnitude the unopened middle can hold.
@@ -234,8 +236,6 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int):
     n = m.shape[0]
     # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
     a = np.array(m, order="C")
-    peak = max(float(a.max()), -float(a.min()))
-    _check_finite(peak)
     shift = 0
     if not _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] and peak > 0.0:
         # exact: a power of two puts the largest |entry| in [1, 2)

@@ -175,7 +175,7 @@ class TestFamilyRules:
             if isinf(end):
                 continue
             beyond = np.nextafter(end, outward)
-            message = (f"mean {beyond!r} at entry (0, 0) is outside the "
+            message = (f"mean {float(beyond)!r} at entry (0, 0) is outside the "
                        f"{family.value} family's domain [{lo}, {hi}]")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 one_node_spec(family, float(beyond))
@@ -270,7 +270,9 @@ def spec_of_order(family: Family, n: int, seed: int = 0, sparsity: float | None 
     )
 
 
-# orders on either side of the sampler's 64-row tile edges
+# orders on either side of each edge of the sampler's 64-row blocks:
+# one block of 1, 63 or 64 rows, and a last block of one row after one
+# or two full blocks
 TILE_EDGE_ORDERS = (1, 63, 64, 65, 129)
 
 
@@ -291,6 +293,18 @@ class TestSampling:
                 warnings.simplefilter("ignore", DisconnectedSampleWarning)
                 graph, _ = sample_adjacency(spec)
             expected = triu_sample_oracle(spec, np.random.default_rng(n))
+            assert graph.weights.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sparsity", [None, 0.5])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bytes_match_triu_oracle_on_the_benchmark_designs(self, family, sparsity):
+        # the criterion-6 designs the benchmark samples: 4 blocks at
+        # n = 200, the last one short, and 13 blocks at n = 800
+        for seed, (n, pure) in enumerate(((200, 40), (800, 200))):
+            spec = standard_spec(family, rho=FAMILY_RHO[family], n=n, pure=pure,
+                                 seed=seed, sparsity=sparsity)
+            graph, _ = sample_adjacency(spec)
+            expected = triu_sample_oracle(spec, np.random.default_rng(seed))
             assert graph.weights.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("family", list(Family))

@@ -57,6 +57,34 @@ def test_weights_are_immutable():
         g.weights[0, 1] = 5.0
 
 
+SPREAD_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+              st.floats(1e-300, 1e300)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(SPREAD_WEIGHT, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+           st.integers(0, n * (n - 1) // 2 - 1))),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_peak_is_the_largest_magnitude_and_any_nonfinite_entry_is_refused(case, bad):
+    # the peak comes from the two extremes, and Python's max(x, nan) is
+    # x: whichever extreme a NaN or an infinity lands in must fail
+    n, upper, at = case
+    iu = np.triu_indices(n, 1)
+    w = np.zeros((n, n))
+    w[iu] = upper
+    w += w.T
+    assert WeightedGraph(w.copy()).peak == np.abs(w).max(initial=0.0)
+    i, j = iu[0][at], iu[1][at]
+    w[i, j] = w[j, i] = bad
+    with pytest.raises(ValueError, match="^adjacency contains non-finite entries$"):
+        WeightedGraph(w)
+
+
 class TestLoader:
     def test_single_record(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -254,6 +254,7 @@ class TestCli:
                                            "--workers", workers, "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert result.output.splitlines() == [f"error: bad config: workers must be >= 1, got {workers}"]
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_missing_config_exits_3(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--config", str(tmp_path / "none.json")])

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mmdf import spectral
+from mmdf.graph import WeightedGraph
 from mmdf.spectral import successive_projection, top_k_eigen
 
 # smallest order that takes the partial LAPACK solve
@@ -431,6 +432,21 @@ def test_a_graph_decomposes_bitwise_as_its_weights(n):
         assert of_graph.vectors.tobytes() == of_weights.vectors.tobytes()
         assert of_graph.values.tobytes() == of_weights.values.tobytes()
         assert of_graph.next_magnitude == of_weights.next_magnitude
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_a_graph_outside_the_safe_range_decomposes_bitwise_as_its_weights(scale):
+    # the partial solve rescales by the graph's own peak, which must
+    # give the bits of an array's, found by its own pass over it
+    from mmdf.generator import Family, sample_adjacency
+    from conftest import standard_spec
+
+    sampled, _ = sample_adjacency(standard_spec(Family.NORMAL, rho=5.0, n=200, pure=40, seed=3))
+    graph = WeightedGraph(scale * sampled.weights)
+    assert not spectral._SAFE_PEAK[0] <= graph.peak <= spectral._SAFE_PEAK[1]
+    of_graph, of_weights = top_k_eigen(graph, 4), top_k_eigen(graph.weights, 4)
+    assert of_graph.vectors.tobytes() == of_weights.vectors.tobytes()
+    assert of_graph.values.tobytes() == of_weights.values.tobytes()
 
 
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
