@@ -12,7 +12,7 @@ thinned by an independent bernoulli(p) mask to create missing edges.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from math import inf, isfinite, sqrt
 from sys import float_info
@@ -20,7 +20,7 @@ from sys import float_info
 import numpy as np
 
 from .dfsp import validate_memberships
-from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph
+from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph, _equal_by_value
 
 __all__ = [
     "Family",
@@ -125,15 +125,6 @@ class EdgeDistribution:
                 f"rho={rho} outside the admissible range of the "
                 f"{self.family.value} family"
             )
-
-
-def _equal_by_value(self, other) -> bool:
-    """Dataclass equality that compares ndarray fields by value (the
-    generated __eq__ compares them with ==, which cannot be a bool)."""
-    if type(other) is not type(self):
-        return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
-    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True)

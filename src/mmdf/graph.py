@@ -8,8 +8,8 @@ self-edges are not represented (the diagonal is always zero).
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
-from functools import cached_property
+from collections.abc import Sequence
+from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "WeightedGraph",
-    "SignSplit",
     "GroundTruth",
     "ParseError",
     "load_edge_list",
@@ -34,13 +33,26 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def _equal_by_value(self, other) -> bool:
+    """Dataclass equality that compares ndarray fields by value (the
+    generated __eq__ compares them with ==, which cannot be a bool), NaN
+    equal to NaN so that it is reflexive. A class declared with eq=False
+    and this __eq__ is unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+               else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted network as a dense symmetric matrix.
 
     Attributes:
         weights: (n, n) float array, exactly symmetric, zero diagonal,
-            all entries finite. Any sign is allowed.
+            all entries finite. Any sign is allowed. A read-only copy
+            of the array given.
         node_labels: optional display names, one per node.
         peak: the largest |weight| (0.0 without edges), found while
             validating, so that no later stage scans W for it again.
@@ -52,12 +64,15 @@ class WeightedGraph:
     node_labels: tuple[str, ...] | None = None
     _: KW_ONLY
     # for the sampler alone, whose matrices are exactly symmetric by
-    # construction: skips that one test and keeps every other check
+    # construction and held by nobody else: skips that one test and the
+    # copy, and keeps every other check
     _exact_symmetric: InitVar[bool] = False
     peak: float = field(init=False, repr=False)
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self, _exact_symmetric: bool):
-        w = np.asarray(self.weights, dtype=float)
+        w = (np.asarray if _exact_symmetric else np.array)(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {w.shape}")
         # a NaN makes both extremes NaN, and an infinity one of them
@@ -86,36 +101,10 @@ class WeightedGraph:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
-    @cached_property
-    def _split(self) -> "SignSplit":
-        # computed once per graph: scoring every k of a community-count
-        # scan reuses it
-        return sign_split(self)
 
-
-@dataclass(frozen=True)
-class SignSplit:
-    """Degrees and masses of the two nonnegative parts of a signed
-    adjacency W, max(0, W) and max(0, -W), both scaled by 2**shift:
-    degrees is a read-only (2, n) array, one row per part, and masses
-    the pair of their total edge masses, in the same order.
-
-    shift brings the graph's peak into [1, 2) with no pass over W. The
-    scaling is exact (short of weights that underflow), so scale-free
-    scores are unchanged by it, and it keeps their squared degree sums
-    finite for any finite weights. The parts themselves are not kept: products with them are
-    computed from row blocks of W.
-    """
-
-    degrees: np.ndarray
-    masses: tuple[float, float]
-    shift: int
-
-
-# rows of W per block when streaming over the sign split. On 2 cores at
-# n = 800, blocks of 32 to 64 rows scored fastest: both parts' blocks
-# (800 KB at 64 rows) stay in the 2 MB L2 cache; 96 rows and more were
-# slower
+# rows of W per block of the sign split. On 2 cores at n = 800, blocks
+# of 32 to 64 rows scored fastest: both parts' blocks (800 KB at 64
+# rows) stay in the 2 MB L2 cache; 96 rows and more were slower
 _BLOCK_ROWS = 64
 # entries of W per block on small graphs: blocks grow past _BLOCK_ROWS
 # rows up to this size, so a graph of up to 128 nodes is one block (each
@@ -124,19 +113,24 @@ _BLOCK_ROWS = 64
 _BLOCK_ENTRIES = 2**14
 
 
-def _sign_blocks(w: np.ndarray, shift: int):
-    """Yield (rows, parts) over row blocks of w: the row slice and a
-    (2, rows, n) array holding that block of 2**shift * max(0, w) and of
-    2**shift * max(0, -w). The array is overwritten by the next block.
-    Blocks hold max(_BLOCK_ROWS, _BLOCK_ENTRIES // n) rows, the last
-    one fewer.
+def sign_split(g: WeightedGraph, ms: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Degrees of, and products with, the positive and negative parts
+    max(0, W) and max(0, -W), in one pass over row blocks of W.
 
-    Both parts are exact entrywise: neg = pos - w is -w where w < 0 and
-    w - w = 0 elsewhere.
+    Returns the (2, n) degrees, one row per part, and for each (n, k)
+    matrix m of ms the (2, n, k) products pos @ m and neg @ m. Both parts
+    are scaled by the power of two that brings the graph's peak into
+    [1, 2): exact short of underflow, so scale-free scores are unchanged,
+    and their squared degree sums stay finite for any finite weights.
+    No n x n array is allocated; neg = pos - w is exactly -w where w < 0
+    and 0 elsewhere.
     """
-    n = w.shape[0]
+    n, w = g.n, g.weights
+    shift = 1 - int(np.frexp(g.peak)[1])
     height = max(_BLOCK_ROWS, _BLOCK_ENTRIES // max(n, 1))
     buffer = np.empty((2, min(height, n), n))
+    degrees = np.empty((2, n))
+    products = [np.empty((2, n, m.shape[1])) for m in ms]
     for start in range(0, n, height):
         rows = slice(start, start + height)
         parts = buffer[:, : min(height, n - start)]
@@ -144,26 +138,13 @@ def _sign_blocks(w: np.ndarray, shift: int):
         np.ldexp(w[rows], shift, out=neg)
         np.maximum(neg, 0.0, out=pos)
         np.subtract(pos, neg, out=neg)
-        yield rows, parts
-
-
-def sign_split(g: WeightedGraph) -> SignSplit:
-    """Split a graph into its positive and negative parts.
-
-    Returns the degree vectors of max(0, W) and max(0, -W) and their
-    total edge masses (half the degree sums, so each unordered pair
-    counts once), all scaled by 2**shift as SignSplit describes. Works
-    over row blocks of W: no n x n array is allocated.
-    """
-    shift = 1 - int(np.frexp(g.peak)[1])
-    degrees = np.empty((2, g.n))
-    for rows, parts in _sign_blocks(g.weights, shift):
         parts.sum(axis=2, out=degrees[:, rows])
-    degrees.setflags(write=False)
-    return SignSplit(degrees, tuple(float(d.sum() / 2.0) for d in degrees), shift)
+        for m, out in zip(ms, products):
+            np.matmul(parts, m, out=out[:, rows])
+    return degrees, products
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Known community structure for a graph, when available.
 
@@ -176,10 +157,13 @@ class GroundTruth:
     labels: np.ndarray | None = None
     memberships: np.ndarray | None = None
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self):
+        # read-only copies, so the caller's arrays stay theirs
         for name, dtype in (("labels", int), ("memberships", float)):
             if getattr(self, name) is not None:
-                value = np.asarray(getattr(self, name), dtype=dtype)
+                value = np.array(getattr(self, name), dtype=dtype)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
 
@@ -302,7 +286,11 @@ def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path 
     """Write the nonzero upper triangle as ``src dst weight`` records.
 
     Node identifiers are the graph's labels when present, else 1-based
-    indices. Weights use repr so reloading reproduces the matrix exactly.
+    indices. Weights use repr so reloading reproduces the matrix exactly
+    when labels_path writes the node roster too. Without the roster, a
+    node no record names is lost (a 4-node graph whose last two nodes
+    are isolated reloads with 2) and nodes reload in first-appearance
+    order.
     Raises ValueError naming the label, before any file is written, when
     a label is empty, repeated, or contains whitespace, ``#``, ``,`` or
     a lone surrogate: load_edge_list could not read it back (a surrogate

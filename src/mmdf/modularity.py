@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dfsp import DfspReport, EstimationError, dfsp, validate_memberships
-from .graph import WeightedGraph, _sign_blocks
+from .graph import WeightedGraph, sign_split
 from .spectral import TopKEigen, top_k_eigen
 
 __all__ = [
@@ -82,27 +82,23 @@ def fuzzy_weighted_modularity(
     batch = (isinstance(memberships, (list, tuple)) and len(memberships) > 0
              and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in memberships))
     ms = [_checked_memberships(g, m) for m in (memberships if batch else [memberships])]
-    split = g._split
-    total = 2.0 * split.masses[0] + 2.0 * split.masses[1]
+    # the degrees, and pos @ m and neg @ m for every m of two or more
+    # columns (one column scores exact zero), in one pass over W
+    multi = [i for i, m in enumerate(ms) if m.shape[1] > 1]
+    degrees, products = sign_split(g, [ms[i] for i in multi])
+    products = dict(zip(multi, products))
+    masses = [float(d.sum() / 2.0) for d in degrees]
+    total = 2.0 * masses[0] + 2.0 * masses[1]
     # (pos_weight, neg_weight)
-    weights = tuple(2.0 * mass / total if total else 0.0 for mass in split.masses)
-    # pos @ m and neg @ m for every m of two or more columns, assembled
-    # from row blocks of the two parts in one pass over W. An empty graph
-    # or a single community needs none: it scores exact zero (with one
-    # community both double sums vanish identically)
-    products = {i: np.empty((2, g.n, m.shape[1])) for i, m in enumerate(ms) if m.shape[1] > 1 and total}
-    if products:
-        for rows, parts in _sign_blocks(g.weights, split.shift):
-            for i, out in products.items():
-                np.matmul(parts, ms[i], out=out[:, rows])
+    weights = tuple(2.0 * mass / total if total else 0.0 for mass in masses)
     values = []
     for i, m in enumerate(ms):
-        if i not in products:
+        if i not in products or not total:
             values.append(ModularityValue(0.0, 0.0, 0.0, *weights))
             continue
         # (q_pos, q_neg): each part scores zero when it has no mass
-        parts = [_soft_modularity(part_m, degrees, mass, m) if mass > 0 else 0.0
-                 for part_m, degrees, mass in zip(products.pop(i), split.degrees, split.masses)]
+        parts = [_soft_modularity(part_m, d, mass, m) if mass > 0 else 0.0
+                 for part_m, d, mass in zip(products.pop(i), degrees, masses)]
         q = weights[0] * parts[0] - weights[1] * parts[1]
         values.append(ModularityValue(q, *parts, *weights))
     return values if batch else values[0]

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdf.graph import (
+    GroundTruth,
     ParseError,
     WeightedGraph,
-    _BLOCK_ENTRIES,
     _BLOCK_ROWS,
-    _sign_blocks,
     load_edge_list,
     sign_split,
     write_edge_list,
 )
+from mmdf.modularity import fuzzy_weighted_modularity
 
 
 def test_construction_rejects_asymmetry():
@@ -78,11 +78,39 @@ def test_peak_is_the_largest_magnitude_and_any_nonfinite_entry_is_refused(case, 
     w = np.zeros((n, n))
     w[iu] = upper
     w += w.T
-    assert WeightedGraph(w.copy()).peak == np.abs(w).max(initial=0.0)
+    assert WeightedGraph(w).peak == np.abs(w).max(initial=0.0)
     i, j = iu[0][at], iu[1][at]
     w[i, j] = w[j, i] = bad
     with pytest.raises(ValueError, match="^adjacency contains non-finite entries$"):
         WeightedGraph(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+           st.lists(SPREAD_WEIGHT, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+           st.lists(st.integers(0, 3), min_size=n, max_size=n),
+           st.lists(st.floats(allow_nan=True), min_size=2 * n, max_size=2 * n))))
+def test_construction_copies_and_equality_is_a_reflexive_bool(case):
+    # a graph and a ground truth keep read-only copies: the caller's arrays
+    # stay writable and unchanged, and later writes to them reach no
+    # instance; == compares by value (NaN equal to NaN) and is a bool
+    upper, labels, memberships = case
+    n = len(labels)
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = upper
+    w += w.T
+    for cls, arrays in ((WeightedGraph, {"weights": w}),
+                        (GroundTruth, {"labels": np.array(labels), "memberships": np.reshape(memberships, (n, 2))})):
+        before = {name: a.copy() for name, a in arrays.items()}
+        made = cls(**arrays)
+        for name, a in arrays.items():
+            assert a.flags.writeable and np.array_equal(a, before[name], equal_nan=True)
+            assert not getattr(made, name).flags.writeable
+            a += 1
+        assert (made == made) is True and (made == cls(**before)) is True
+        assert (made == None) is False  # noqa: E711
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(made)
 
 
 class TestLoader:
@@ -179,6 +207,18 @@ def test_round_trip_exact(tmp_path, rng):
     assert np.array_equal(reloaded.weights, g.weights)
 
 
+def test_round_trip_needs_the_roster_for_isolated_nodes(tmp_path):
+    # nodes 3 and 4 have no edge, so no record names them: the bare edge
+    # list reloads 2 of the 4 nodes, and with the roster all 4 come back
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = 2.5
+    edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+    write_edge_list(WeightedGraph(w), edges)
+    assert load_edge_list(edges) == WeightedGraph(w[:2, :2], ("1", "2"))
+    write_edge_list(WeightedGraph(w), edges, labels_path=labels)
+    assert load_edge_list(edges, labels_path=labels) == WeightedGraph(w, ("1", "2", "3", "4"))
+
+
 # label text that load_edge_list reads back: no whitespace, '#', ',' or
 # lone surrogate
 _TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="#,"))
@@ -225,47 +265,56 @@ def dense_parts(w: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(np.maximum(w, 0.0), shift), np.ldexp(np.maximum(-w, 0.0), shift)
 
 
+def split_shift(g: WeightedGraph) -> int:
+    """The shift that brings the graph's peak into [1, 2)."""
+    return 1 - int(np.frexp(g.peak)[1])
+
+
+def masses(degrees: np.ndarray) -> tuple[float, float]:
+    return tuple(float(d.sum() / 2.0) for d in degrees)
+
+
 class TestSignSplit:
     def test_pure_negative(self):
         w = np.array([[0.0, -2.0], [-2.0, 0.0]])
-        s = sign_split(WeightedGraph(w))
-        pos, neg = dense_parts(w, s.shift)
+        g = WeightedGraph(w)
+        degrees, [(pos, neg)] = sign_split(g, [np.eye(2)])
         assert np.all(pos == 0)
         assert neg[0, 1] == 1.0  # the largest |weight| is scaled into [1, 2)
-        assert np.array_equal(s.degrees[1], neg.sum(axis=1))
-        assert s.masses[0] == 0.0
-        assert np.ldexp(s.masses[1], -s.shift) == 2.0
+        assert np.array_equal(degrees[1], neg.sum(axis=1))
+        assert masses(degrees)[0] == 0.0
+        assert np.ldexp(masses(degrees)[1], -split_shift(g)) == 2.0
 
     def test_pure_positive(self):
         g = WeightedGraph(np.array([[0.0, 3.0], [3.0, 0.0]]))
-        s = sign_split(g)
-        assert np.ldexp(s.masses[0], -s.shift) == 3.0
-        assert s.masses[1] == 0.0
+        degrees, products = sign_split(g)
+        assert products == []
+        assert np.ldexp(masses(degrees)[0], -split_shift(g)) == 3.0
+        assert masses(degrees)[1] == 0.0
 
     def test_mixed_hand_sum(self):
         w = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        s = sign_split(WeightedGraph(w))
+        degrees, _ = sign_split(WeightedGraph(w))
         # by hand: one positive pair and one negative pair, each mass 1
-        assert s.masses == (1.0, 1.0)
-        assert np.array_equal(s.degrees, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        assert not s.degrees.flags.writeable
+        assert masses(degrees) == (1.0, 1.0)
+        assert np.array_equal(degrees, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        value = fuzzy_weighted_modularity(WeightedGraph(w), np.eye(3))
+        assert (value.pos_weight, value.neg_weight) == (0.5, 0.5)
 
     def test_reconstruction_and_disjoint_support(self, rng):
         # one block up to 128 nodes, two blocks of the entry budget just
-        # above, and _BLOCK_ROWS-row blocks with a partial one from 256
-        for n, count in [(77, 1), (133, 2), (4 * _BLOCK_ROWS + 5, 5)]:
+        # above, and _BLOCK_ROWS-row blocks with a partial one from 256:
+        # products with the identity are the scaled parts themselves
+        for n in (77, 133, 4 * _BLOCK_ROWS + 5):
             w = rng.normal(size=(n, n))
             w = w + w.T
             np.fill_diagonal(w, 0.0)
-            s = sign_split(WeightedGraph(w))
-            blocks = [(rows, parts.copy()) for rows, parts in _sign_blocks(w, s.shift)]
-            height = max(_BLOCK_ROWS, _BLOCK_ENTRIES // n)
-            assert [rows for rows, _ in blocks] == [slice(i, i + height) for i in range(0, n, height)]
-            assert len(blocks) == count
-            pos, neg = np.concatenate([parts for _, parts in blocks], axis=1)
-            dense_pos, dense_neg = dense_parts(w, s.shift)
+            g = WeightedGraph(w)
+            m = rng.dirichlet(np.ones(3), size=n)
+            degrees, [(pos, neg), products] = sign_split(g, [np.eye(n), m])
+            dense_pos, dense_neg = dense_parts(w, split_shift(g))
             assert np.array_equal(pos, dense_pos) and np.array_equal(neg, dense_neg)
-            assert np.array_equal(pos - neg, np.ldexp(w, s.shift))
+            assert np.array_equal(pos - neg, np.ldexp(w, split_shift(g)))
             assert np.all(pos * neg == 0.0)
-            assert np.array_equal(s.degrees, [pos.sum(axis=1), neg.sum(axis=1)])
-            assert s.masses == (pos.sum(axis=1).sum() / 2.0, neg.sum(axis=1).sum() / 2.0)
+            assert np.array_equal(degrees, [pos.sum(axis=1), neg.sum(axis=1)])
+            assert np.allclose(products, [pos @ m, neg @ m], rtol=1e-12, atol=0.0)

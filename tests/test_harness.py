@@ -168,6 +168,29 @@ def write_config(tmp_path, family=Family.POINT_MASS, values=(2.0,)):
     return path
 
 
+# random edge-list text: names and weights a parser meets in the wild in
+# records split by blanks or commas, with comments, a header and blank
+# lines; half the files also hold bad weights and bad field counts
+NAMES = ["a", "b", "c", "1", "2", "3", "0", "-1", "ü", "名", "Zoë"]
+NODE = st.sampled_from(NAMES)
+WEIGHT = st.one_of(
+    st.sampled_from(["1", "-1", "0", "0.5", "-2.5", "1e308", "-1e308", "1e-308", "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+CLEAN_LINE = st.one_of(
+    st.tuples(st.one_of(st.tuples(NODE, NODE), st.tuples(NODE, NODE, WEIGHT)),
+              st.sampled_from([" ", ",", "\t", ", "])).map(lambda r: r[1].join(r[0])),
+    st.sampled_from(["", "# comment", "src dst weight", "a b # trailing comment"]),
+)
+ODD_LINE = st.one_of(
+    st.tuples(NODE, NODE, st.sampled_from(["nan", "inf", "-inf", "w", "ü", "1e309"])).map(" ".join),
+    st.lists(st.one_of(NODE, WEIGHT), max_size=4).map(" ".join),
+)
+EDGE_LINES = st.lists(CLEAN_LINE, max_size=12) | st.lists(CLEAN_LINE | ODD_LINE, max_size=12)
+ROSTER = st.none() | st.lists(NODE, unique=True, max_size=8) | st.lists(
+    NODE | st.sampled_from(["", "# roster comment", "x y"]), max_size=8)
+
+
 class TestCli:
     def test_version_from_source_tree(self):
         result = CliRunner().invoke(main, ["--version"])
@@ -454,6 +477,27 @@ class TestCli:
         assert payload["config"]["profile"] == "ci"
         assert payload["config"]["replications"] == 25
         assert payload["cells"][0]["successes"] + payload["cells"][0]["failures"] == 25
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=EDGE_LINES, roster=ROSTER, data=st.data())
+    def test_any_edge_list_exits_with_a_documented_code(self, lines, roster, data):
+        # n is the roster's length, or at most the number of names used
+        used = {t for line in lines for t in line.replace(",", " ").split()} & set(NAMES)
+        n = len(roster) if roster is not None else len(used)
+        k_max = data.draw(st.none() | st.integers(-2, n + 2), label="k_max")
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "graph.edges"
+            graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            options = ["--out", str(Path(tmp) / "o")] + ([] if k_max is None else ["--k-max", str(k_max)])
+            if roster is not None:
+                labels = Path(tmp) / "graph.labels"
+                labels.write_text("\n".join(roster) + "\n", encoding="utf-8")
+                options += ["--labels", str(labels)]
+            for command in ("detect", "scan-k"):
+                result = CliRunner().invoke(main, [command, str(graph), *options])
+                assert result.exit_code in (0, 2, 3, 4), result.output
+                assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+                assert "Traceback" not in result.output
 
 
 def is_int(v):

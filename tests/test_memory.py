@@ -48,9 +48,8 @@ def test_sampling_holds_one_matrix_and_a_block(spec):
 
 
 def test_scan_forms_no_dense_part(spec):
-    # a fresh graph has no cached sign split, so this counts the split
-    # and the scoring of every k; a dense positive or negative part
-    # alone would be W
+    # this counts the one sign split that scores every k; a dense
+    # positive or negative part alone would be W
     graph, _ = sample_adjacency(spec)
     spectrum = top_k_eigen(graph.weights, 5)
     scan, peak = traced_peak(lambda: estimate_k(graph, k_max=5, eigen=spectrum))

@@ -1,11 +1,12 @@
 """One eigendecomposition, one sign split and one fit per graph and k.
 
 Every entry point that fits or scores several community counts on one
-graph shares a single top-k spectrum and a single sign split, fits each
-count once, and scores every fit of a scan in one batch. These tests
-count the calls at every mmdf binding of top_k_eigen, sign_split, dfsp
-and fuzzy_weighted_modularity, so a code path that decomposes, fits or
-scores again, under any import name, is caught.
+graph shares a single top-k spectrum, fits each count once, and scores
+every fit of a scan in one batch: one sign split, the one pass over W
+that scoring makes. These tests count the calls at every mmdf binding
+of top_k_eigen, sign_split, dfsp and fuzzy_weighted_modularity, so a
+code path that decomposes, fits or scores again, under any import name,
+is caught.
 """
 
 import sys
@@ -67,7 +68,7 @@ def decomposed_sizes(calls):
 
 @pytest.fixture
 def graph():
-    # fresh per test: a graph caches its sign split
+    # sampled per test; a graph caches nothing
     g, _ = sample_adjacency(standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12, seed=3))
     return g
 
