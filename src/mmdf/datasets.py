@@ -59,15 +59,19 @@ class Dataset:
     truth: GroundTruth | None
 
 
+# resolved once, at import; $MMDF_DATA_DIR is still read at every call
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get("MMDF_DATA_DIR")
     if env:
         return Path(env)
-    return Path(__file__).resolve().parents[2] / "data"
+    return _PACKAGE_DIR.parents[1] / "data"
 
 
 def _fixture_path(filename: str) -> Path:
-    return Path(__file__).resolve().parent / "data" / filename
+    return _PACKAGE_DIR / "data" / filename
 
 
 def _dataset_files(info: DatasetInfo, cache_dir: Path | None) -> tuple[Path, Path | None, Path | None]:

@@ -8,14 +8,15 @@ aggregate per sweep value. Replicate RNG streams are spawned from one
 root seed so any replicate is reproducible in isolation and results do
 not depend on scheduling order.
 
-run_dataset_suite evaluates the estimator on registered real networks:
-community-count scan, modularity at the selected count, purity indices,
-and mislabel counts where curated truth exists.
+run_dataset_suite runs detect_graph on each registered real network and
+adds the mislabel count of the fit at the curated community count, where
+curated labels exist.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -166,32 +167,49 @@ def _run_replicate(args) -> tuple[ErrorPair | None, str | None]:
     otherwise outcome is the k the scan selected as a str, "failed" when
     the scan failed at every k, or None when the sweep does not scan.
 
-    One eigendecomposition serves both the fit at the true k and the scan.
+    One eigendecomposition serves the scan and the fit at the true k, which
+    a scanning replicate reads off the scan instead of fitting it again.
     """
     spec, seed_words, estimate_counts, k_scan_max = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
     graph, truth = sample_adjacency(spec, rng=rng)
     spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k)
+    scan = outcome = None
+    if estimate_counts:
+        try:
+            scan = estimate_k(graph, k_max=k_scan_max, eigen=spectrum)
+            outcome = str(scan.best_k)
+        except EstimationError:
+            outcome = "failed"
     try:
-        report = dfsp(spectrum, spec.k)
+        report = scan.fit(spec.k) if scan is not None else dfsp(spectrum, spec.k)
     except EstimationError as exc:
         return None, exc.stage
-    errors = membership_errors(report.memberships, truth.memberships)
-    if not estimate_counts:
-        return errors, None
-    try:
-        return errors, str(estimate_k(graph, k_max=k_scan_max, eigen=spectrum).best_k)
-    except EstimationError:
-        return errors, "failed"
+    return membership_errors(report.memberships, truth.memberships), outcome
+
+
+def _pin_blas_threads(threads: int) -> None:
+    """Pool initializer: run the scipy-openblas64 library numpy loaded on
+    threads threads; a no-op on a build that does not export the setter."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    setter = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter(threads)
 
 
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     """Execute the sweep protocol and aggregate per sweep value.
 
-    Deterministic given the config (including its seed), regardless of
-    worker count: every replicate's RNG stream is derived from
-    (config.seed, value index, replicate index). Raises ValueError,
-    before any sampling, unless workers >= 1.
+    Deterministic given the config (including its seed) and the BLAS
+    thread count per process: every replicate's RNG stream is derived
+    from (config.seed, value index, replicate index). With workers > 1,
+    each pool process runs max(1, cores // workers) BLAS threads, cores
+    being those this process may use; workers == 1 runs here, with the
+    BLAS as it is. Raises ValueError, before any sampling, unless
+    workers >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -201,7 +219,9 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            threads = max(1, len(os.sched_getaffinity(0)) // workers)
+            run = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_pin_blas_threads, initargs=(threads,))).map
         for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
             tasks = [
                 (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
@@ -249,11 +269,12 @@ def run_dataset_suite(
 ) -> list[DatasetRow]:
     """Evaluate the estimator across registered real networks.
 
-    Missing (unfetched) datasets produce a row with a notice instead of
-    failing the suite. Each graph is decomposed once and each count is
-    fitted once: the selected count's fit and score, and the curated
-    count's fit when the scan reached it, are read off the scan; only a
-    curated count the scan did not reach is fitted from the spectrum.
+    A row is detect_graph's best fit, scanning up to min(k_max, n - 1),
+    plus the mislabel count of the fit at the curated count where curated
+    labels exist. That fit comes off the scan; only a curated count beyond
+    the scan's spectrum is fitted from a spectrum of its own. Missing
+    (unfetched) datasets produce a row with a notice instead of failing
+    the suite.
     """
     rows = []
     for name in names or list(DATASETS):
@@ -262,44 +283,22 @@ def run_dataset_suite(
         except DatasetMissing as exc:
             rows.append(DatasetRow(name, None, None, None, None, None, None, notice=str(exc)))
             continue
-        scan_max = min(k_max, ds.graph.n - 1)
-        true_k = None
-        if ds.truth is not None and ds.truth.labels is not None and ds.info.true_k:
-            true_k = ds.info.true_k
-        spectrum = top_k_eigen(ds.graph, max(scan_max, true_k or 0))
         try:
-            scan = estimate_k(ds.graph, k_max=scan_max, eigen=spectrum)
+            found = detect_graph(ds.graph, k_max=min(k_max, ds.graph.n - 1))
         except EstimationError as exc:
             rows.append(DatasetRow(name, ds.graph.n, None, None, None, None, None, notice=str(exc)))
             continue
-        best = scan.point(scan.best_k)
-        eta = mixedness_indices(best.report.memberships)
         mislabels = notice = None
-        if true_k is not None:
-            at_true = scan.point(true_k)
-            if at_true is not None:
-                report, failure = at_true.report, at_true.failure
-            else:
-                try:
-                    report, failure = dfsp(spectrum, true_k), None
-                except EstimationError as exc:
-                    report, failure = None, f"{exc.stage}: {exc}"
-            if report is None:
-                notice = f"no fit at the curated k={true_k}: {failure}"
-            else:
+        true_k = ds.info.true_k
+        if true_k and ds.truth is not None and ds.truth.labels is not None:
+            try:
+                report = (found.scan.fit(true_k) if true_k <= len(found.scan.eigen.values)
+                          else dfsp(top_k_eigen(ds.graph, true_k), true_k))
                 mislabels = mislabel_count(harden(report.memberships), ds.truth.labels)
-        rows.append(
-            DatasetRow(
-                name=name,
-                n=ds.graph.n,
-                best_k=scan.best_k,
-                q_best=best.modularity.q,
-                eta_mixed=eta.eta_mixed,
-                eta_pure=eta.eta_pure,
-                mislabels=mislabels,
-                notice=notice,
-            )
-        )
+            except EstimationError as exc:
+                notice = f"no fit at the curated k={true_k}: {exc.stage}: {exc}"
+        rows.append(DatasetRow(name, ds.graph.n, found.best_k, found.q, found.eta_mixed,
+                               found.eta_pure, mislabels, notice))
     return rows
 
 

@@ -127,15 +127,23 @@ class KScanPoint:
 
 @dataclass(frozen=True)
 class KScanResult:
-    """Community-count scan: the score curve and its argmax."""
+    """Community-count scan: the score curve and its argmax. eigen, the
+    spectrum every k was fitted from, takes no part in equality or repr."""
 
     best_k: int
     curve: tuple[KScanPoint, ...]
     k_max: int
+    eigen: TopKEigen = field(compare=False, repr=False)
 
     def point(self, k: int) -> KScanPoint | None:
         """The curve's point at k, or None when the scan did not reach k."""
         return self.curve[k - 1] if 1 <= k <= len(self.curve) else None
+
+    def fit(self, k: int) -> DfspReport:
+        """The scan's own fit at k where it fitted k, else dfsp(eigen, k),
+        which raises where the scan's fit at k failed."""
+        point = self.point(k)
+        return point.report if point is not None and point.ok else dfsp(self.eigen, k)
 
 
 def estimate_k(
@@ -180,4 +188,4 @@ def estimate_k(
         for k in range(1, k_max + 1)
     )
     best = max((p for p in curve if p.ok), key=lambda p: (p.modularity.q, -p.k))
-    return KScanResult(best_k=best.k, curve=curve, k_max=k_max)
+    return KScanResult(best_k=best.k, curve=curve, k_max=k_max, eigen=eigen)

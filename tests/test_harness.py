@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,9 +12,24 @@ from hypothesis import given, settings, strategies as st
 import mmdf
 from mmdf.cli import main
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
-from mmdf.harness import ExperimentConfig, run_simulation
+from mmdf.harness import ExperimentConfig, _pin_blas_threads, run_simulation
 
 from conftest import standard_spec
+
+
+# the BLAS threads each process of a two-worker pool gets
+TWO_WORKER_THREADS = max(1, len(os.sched_getaffinity(0)) // 2)
+
+
+def blas_threads(_=None) -> int | None:
+    """The thread count of the scipy-openblas64 library numpy loaded, or
+    None on a build that does not export it."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    getter = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
+    return None if getter is None else getter()
 
 
 def small_config(family=Family.POINT_MASS, values=(2.0, 5.0), reps=3, **kw):
@@ -142,7 +158,50 @@ class TestRunSimulation:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         config = small_config(Family.NORMAL, values=(5.0, 20.0, 50.0), reps=3, estimate_counts=True)
         assert run_simulation(config, workers=2) == run_simulation(config)
-        assert built == [{"max_workers": 2}]
+        # one pool, whose processes each get their share of the cores
+        assert built == [{"max_workers": 2, "initializer": _pin_blas_threads,
+                          "initargs": (TWO_WORKER_THREADS,)}]
+
+    def test_each_worker_runs_its_share_of_the_cores(self, monkeypatch):
+        import concurrent.futures
+
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread count")
+        seen = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        class Probed(executor):
+            def map(self, fn, *iterables, **kwargs):
+                # read the count inside the run's own workers
+                seen.extend(super().map(blas_threads, range(4)))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probed)
+        run_simulation(small_config(values=(2.0,), reps=2), workers=2)
+        assert set(seen) == {TWO_WORKER_THREADS}
+
+    def test_workers_match_one_process_at_the_same_thread_count(self, tmp_path):
+        # n >= 128 takes the partial solver; at n = 320 its bits depend on
+        # the BLAS thread count (an unpinned two-thread run differs on two
+        # cores), so pin this process as each worker is pinned
+        before = blas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS exports no thread count")
+        spec = standard_spec(Family.SIGNED, rho=0.3, n=320, pure=40)
+        config = ExperimentConfig(generator=spec, sweep_values=(0.3, 0.8), replications=3,
+                                  estimate_counts=True, k_scan_max=5, seed=4, profile="ci")
+        pooled = run_simulation(config, workers=2)
+        _pin_blas_threads(TWO_WORKER_THREADS)
+        try:
+            alone = run_simulation(config)
+        finally:
+            _pin_blas_threads(before)
+        assert blas_threads() == before
+        for name, report in (("pooled", pooled), ("alone", alone)):
+            report.write_csv(tmp_path / f"{name}.csv")
+            report.write_json(tmp_path / f"{name}.json")
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"pooled.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
 
     def test_csv_and_json_emission(self, tmp_path):
         report = run_simulation(small_config())

@@ -3,21 +3,27 @@
 Every entry point that fits or scores several community counts on one
 graph shares a single top-k spectrum, fits each count once, and scores
 every fit of a scan in one batch: one sign split, the one pass over W
-that scoring makes. These tests count the calls at every mmdf binding
-of top_k_eigen, sign_split, dfsp and fuzzy_weighted_modularity, so a
-code path that decomposes, fits or scores again, under any import name,
-is caught.
+that scoring makes. A fit at a known k where the graph is also scanned
+(a replicate's true k, a dataset's curated k) is read off the scan with
+KScanResult.fit, and a datasets row is detect_graph's best fit plus the
+mislabel count at the curated k. These tests count the calls at every
+mmdf binding of top_k_eigen, sign_split, dfsp and
+fuzzy_weighted_modularity, so a code path that decomposes, fits or
+scores again, under any import name, is caught.
 """
 
 import sys
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import mmdf.graph
 import mmdf.modularity
 import mmdf.spectral
+from mmdf.dfsp import EstimationError
 from mmdf.generator import Family, sample_adjacency
+from mmdf.graph import WeightedGraph
 from mmdf.harness import _run_replicate, detect_graph, run_dataset_suite
 from mmdf.modularity import estimate_k
 
@@ -133,8 +139,9 @@ def test_replicate_decomposes_once(calls, estimate_counts, expected):
 def test_dataset_suite_decomposes_once_per_graph(calls):
     rows = run_dataset_suite(["karate", "gahuku-gama", "slovene-parties"], k_max=12)
     assert [r.notice for r in rows] == [None, None, None]
+    # detect_graph decomposes k_max + 1 pairs for its spectral gap;
     # slovene-parties (n=10) scans only up to n - 1
-    assert decomposed_sizes(calls) == [(34, 12), (16, 12), (10, 9)]
+    assert decomposed_sizes(calls) == [(34, 13), (16, 13), (10, 10)]
     assert len(calls["sign_split"]) == 3
 
 
@@ -162,6 +169,43 @@ def test_detect_auto_k_fits_each_count_once(fits, graph):
 def test_detect_fixed_k_fits_once(fits, graph):
     detect_graph(graph, k=3)
     assert fit_counts(fits) == (1, 1)
+
+
+@pytest.mark.parametrize("estimate_counts,expected", [(True, 5), (False, 1)])
+def test_replicate_fits_each_count_once(fits, estimate_counts, expected):
+    # the true k (3) lies inside a k_max=5 scan, so its fit is the scan's
+    spec = standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12)
+    errors, _ = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
+    assert errors is not None
+    assert len(fits["dfsp"]) == expected
+    assert [k for _, k in fits["dfsp"]].count(3) == 1
+
+
+def test_scan_fit_reads_the_scan_or_its_spectrum(graph):
+    spectrum = mmdf.spectral.top_k_eigen(graph.weights, 7)
+    scan = estimate_k(graph, k_max=5, eigen=spectrum)
+    assert scan.eigen is spectrum
+    # a scanned k: the point's own report object
+    assert scan.fit(3) is scan.point(3).report
+    # beyond k_max, inside the spectrum: the fit dfsp makes from it
+    beyond = scan.fit(6)
+    direct = sys.modules["mmdf.dfsp"].dfsp(spectrum, 6)
+    assert np.array_equal(beyond.memberships, direct.memberships)
+    assert np.array_equal(beyond.vertex_indices, direct.vertex_indices)
+
+
+def test_scan_fit_raises_where_the_scan_failed():
+    # a path on four nodes has eigenvalues +-a, +-b, so k=3 cuts a tie
+    w = np.zeros((4, 4))
+    for i in range(3):
+        w[i, i + 1] = w[i + 1, i] = 1.0
+    scan = estimate_k(WeightedGraph(w), k_max=3)
+    failed = scan.point(3)
+    assert not failed.ok
+    with pytest.raises(EstimationError) as exc:
+        scan.fit(3)
+    assert failed.failure.startswith(f"{exc.value.stage}: ")
+    assert failed.failure == f"{exc.value.stage}: {exc.value}"
 
 
 def test_dataset_suite_fits_each_count_once(fits):
