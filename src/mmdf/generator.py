@@ -238,15 +238,18 @@ class GeneratorSpec:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        omega = self.rho * m @ self.connectivity.entries @ m.T
+        # the means rho * Pi P Pi', checked in blocks of rows
+        left = self.rho * m @ self.connectivity.entries
         _, (lo, hi) = _RULES[self.distribution.family]
-        bad = (omega < lo) | (omega > hi)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"mean {float(omega[i, j])!r} at entry ({i}, {j}) is outside the "
-                f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
-            )
+        for s in range(0, m.shape[0], _BLOCK_ROWS):
+            omega = left[s:s + _BLOCK_ROWS] @ m.T
+            bad = (omega < lo) | (omega > hi)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"mean {float(omega[i, j])!r} at entry ({s + i}, {j}) is outside the "
+                    f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
+                )
 
     @property
     def n(self) -> int:

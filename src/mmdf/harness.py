@@ -30,7 +30,7 @@ from .generator import GeneratorSpec, read_key, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import DEFAULT_K_MAX, KScanResult, estimate_k, fuzzy_weighted_modularity
-from .spectral import top_k_eigen
+from .spectral import _library, top_k_eigen
 
 __all__ = [
     "ExperimentConfig",
@@ -146,8 +146,14 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The cells of a sweep, its config, and the BLAS thread count each
+    process fitted on (None where numpy's BLAS does not report one),
+    which the last digits of the fits can depend on. Reports compare by
+    config and cells."""
+
     cells: tuple[SweepCell, ...]
     config: dict
+    blas_threads: int | None = field(default=None, compare=False)
 
     def write_csv(self, path: str | Path) -> None:
         # the first six fields; the stage and k-hat counts go to the JSON only
@@ -158,7 +164,7 @@ class SweepReport:
         cells = [asdict(c) for c in self.cells]
         for c in cells:
             c["accuracy_rate"] = c.pop("accuracy")
-        write_json(path, {"config": self.config, "cells": cells})
+        write_json(path, {"config": self.config, "cells": cells, "blas_threads": self.blas_threads})
 
 
 def _run_replicate(args) -> tuple[ErrorPair | None, str | None]:
@@ -191,13 +197,16 @@ def _run_replicate(args) -> tuple[ErrorPair | None, str | None]:
 def _pin_blas_threads(threads: int) -> None:
     """Pool initializer: run the scipy-openblas64 library numpy loaded on
     threads threads; a no-op on a build that does not export the setter."""
-    import ctypes
-
-    from numpy.linalg import _umath_linalg
-
-    setter = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_set_num_threads64_", None)
+    setter = getattr(_library(), "scipy_openblas_set_num_threads64_", None)
     if setter is not None:
         setter(threads)
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the scipy-openblas64 library numpy loaded, or
+    None on a build that does not export the getter."""
+    getter = getattr(_library(), "scipy_openblas_get_num_threads64_", None)
+    return None if getter is None else int(getter())
 
 
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
@@ -208,20 +217,22 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     from (config.seed, value index, replicate index). With workers > 1,
     each pool process runs max(1, cores // workers) BLAS threads, cores
     being those this process may use; workers == 1 runs here, with the
-    BLAS as it is. Raises ValueError, before any sampling, unless
-    workers >= 1.
+    BLAS as it is. The report records the thread count either way.
+    Raises ValueError, before any sampling, unless workers >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = []
+    threads = _blas_threads()
     with ExitStack() as stack:
         run = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            threads = max(1, len(os.sched_getaffinity(0)) // workers)
+            pinned = max(1, len(os.sched_getaffinity(0)) // workers)
+            threads = None if threads is None else pinned
             run = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_pin_blas_threads, initargs=(threads,))).map
+                max_workers=workers, initializer=_pin_blas_threads, initargs=(pinned,))).map
         for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
             tasks = [
                 (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
@@ -244,7 +255,7 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
                     k_hat_counts=dict(sorted(Counter(scans).items())),
                 )
             )
-    return SweepReport(cells=tuple(cells), config=config.to_dict())
+    return SweepReport(cells=tuple(cells), config=config.to_dict(), blas_threads=threads)
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,24 @@ runs depends on the matrix order n and the numpy build, never on k:
   library that np.linalg already loaded, called through ctypes): one
   reduction to tridiagonal form (dsytrd), then MRRR eigenpairs (dstemr,
   Dhillon, Parlett & Voemel 2006) with their back-transform (dormtr)
-  only for the chunks of the spectrum that hold the selected pairs. No
-  pass over the full spectrum runs: chunks of 4 indices open from the
-  two ends of the spectrum, as many as the k + 1 largest magnitudes
-  need. Each chunk's dstemr call is one index wider toward the middle;
-  its values are the only eigenvalues the solve reads, and the extra
-  one settles the chunk's inner boundary and bounds the unopened middle.
-  Only a boundary inside a cluster of eigenvalues, or a range dstemr
-  refuses, is settled by Sturm-sequence bisection (dstebz, Kahan 1966).
-  At n = 800 on 2 cores it takes 31-44 ms (medians for k from 3 to
-  16) where eigh takes 90 ms.
+  only for the chunks of the spectrum that hold the selected pairs.
+  Chunks of 4 indices open from the two ends of the spectrum, as many as
+  the k + 1 largest magnitudes need. Each chunk's dstemr call is one
+  index wider toward the middle; its values are the only eigenvalues the
+  solve reads, and the extra one settles the chunk's inner boundary and
+  bounds the unopened middle. Only where a chunk would end inside a
+  cluster of eigenvalues, or dstemr refuses a range, does a pass over
+  the full spectrum run: one divide-and-conquer call (dstedc, Gu &
+  Eisenstat 1995) gives every eigenpair of the tridiagonal form, whole
+  and orthogonal within each cluster. At n = 800 on 2 cores the solve
+  takes 31-44 ms (medians for k from 3 to 16) where eigh takes 90 ms.
 
 The ordering and sign convention of top_k_eigen do not depend on k, so
 on either path top_k_eigen(m, k) is bitwise the first k pairs of
 top_k_eigen(m, K) for any K >= k. (The partial solve's eigenpairs
-depend on the index range requested from dstemr and on the column count
-given to dormtr, so it always computes whole chunks, whose boundaries
-and opening order depend on the matrix alone.) Callers that fit several
+depend on the call that computes them and on the column count given to
+dormtr, so each chunk's source and the slices it is back-transformed
+in depend on the matrix alone.) Callers that fit several
 community counts to one graph decompose once at the largest count and
 take prefixes with TopKEigen.head.
 """
@@ -65,7 +66,7 @@ _CHUNK = 4
 # a chunk boundary never separates two eigenvalues closer than this
 # fraction of the spectral radius; it moves toward the middle instead.
 # Chunks stop opening once the wanted magnitudes exceed the unopened
-# ones by as much, far above the rounding of bisection and dstemr
+# ones by as much, far above the rounding of dstedc and dstemr
 _CLUSTER_TOL = 1e-6
 # LAPACK's safe range for a matrix's largest |entry| (dsyevd's RMIN and
 # RMAX); outside it the partial solve rescales by a power of two
@@ -109,7 +110,7 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
             average 0.5 * (m + m.T) first.
         k: number of eigenpairs, 1 <= k <= n.
 
-    For n < 128, or when numpy's LAPACK lacks dsytrd, dstebz, dstemr and
+    For n < 128, or when numpy's LAPACK lacks dsytrd, dstemr, dstedc and
     dormtr, this is a full np.linalg.eigh; otherwise a partial solve in
     that LAPACK that computes eigenpairs only in chunks at the ends of
     the spectrum that reach the selected pairs (see the module
@@ -170,8 +171,21 @@ def _check_finite(m: np.ndarray | float) -> None:
 
 
 @cache
+def _library() -> ctypes.CDLL | None:
+    """numpy's linalg extension as a library handle, or None where it
+    cannot be opened. The handle also finds the symbols of the OpenBLAS
+    the extension links, so no second BLAS is loaded."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+
+
+@cache
 def _lapack() -> dict | None:
-    """dsytrd, dstebz, dstemr and dormtr from numpy's own LAPACK,
+    """dsytrd, dstemr, dstedc and dormtr from numpy's own LAPACK,
     resolved once on first use; None when numpy's linalg extension does
     not export them (any build other than scipy-openblas64)."""
     ptr, s = ctypes.c_void_p, ctypes.c_char_p
@@ -179,18 +193,13 @@ def _lapack() -> dict | None:
     # hidden size_t length per character argument after the others
     signatures = {
         "dsytrd": [s] + [ptr] * 9 + [ctypes.c_size_t],
-        "dstebz": [s, s] + [ptr] * 16 + [ctypes.c_size_t] * 2,
         "dstemr": [s, s] + [ptr] * 19 + [ctypes.c_size_t] * 2,
+        "dstedc": [s] + [ptr] * 10 + [ctypes.c_size_t],
         "dormtr": [s, s, s] + [ptr] * 10 + [ctypes.c_size_t] * 3,
     }
     try:
-        from numpy.linalg import _umath_linalg
-
-        # the extension's own handle also finds the symbols of the
-        # OpenBLAS it links, so no second BLAS is loaded
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in signatures}
-    except (ImportError, OSError, AttributeError):
+        routines = {name: getattr(_library(), f"scipy_{name}_64_") for name in signatures}
+    except AttributeError:
         return None
     for name, routine in routines.items():
         routine.argtypes = signatures[name]
@@ -228,10 +237,12 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
     Chunks open in _chunk_order until the k + 1 largest magnitudes among
     their values exceed every magnitude the unopened middle can hold.
     Each chunk's values and eigenvectors come from its own dstemr call,
-    and its eigenvectors are back-transformed only when it holds a
-    requested index. Chunks, their calls and the order they open in
-    depend on m alone, so the columns returned for an index do not
-    depend on k or on which other indices are requested.
+    or from the one dstedc call that decomposes the whole tridiagonal
+    form. Its eigenvectors are back-transformed in slices of _CHUNK from
+    its start, and only the slices that hold a requested index. Chunks,
+    their calls and the order they open in depend on m alone, so the
+    columns returned for an index do not depend on k or on which other
+    indices are requested.
     """
     n = m.shape[0]
     # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
@@ -252,12 +263,20 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
     @cache
     def call(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Eigenvalues lo..hi-1 (ascending) and their eigenvectors of the
-        tridiagonal form, as the rows of a (hi - lo, n) array, from one
-        dstemr call; None when dstemr refuses the range."""
+        tridiagonal form, as the rows of a (hi - lo, n) array: from one
+        dstedc call for the whole spectrum, otherwise from one dstemr
+        call, or None when dstemr refuses the range."""
         cols = hi - lo
-        dd, ee = d.copy(), e.copy()  # dstemr overwrites both
-        vals, z = np.empty(n), np.empty((cols, n))  # C-order rows are Fortran columns
-        isuppz = np.empty(2 * cols, dtype=np.int64)
+        dd, ee = d.copy(), e.copy()  # both routines overwrite both
+        z = np.empty((cols, n))  # C-order rows are Fortran columns
+        if cols == n:
+            work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
+            lapack["dstedc"](b"I", _int(n), dd.ctypes.data, ee.ctypes.data, z.ctypes.data, _int(n),
+                             work.ctypes.data, _int(len(work)), iwork.ctypes.data, _int(len(iwork)),
+                             ctypes.byref(info), 1)
+            _check(lapack["dstedc"], info)
+            return dd, z
+        vals, isuppz = np.empty(n), np.empty(2 * cols, dtype=np.int64)
         tryrac = ctypes.c_int64(1)  # as dsyevr: keep high relative accuracy where T allows it
         work, iwork = np.empty(18 * n), np.empty(10 * n, dtype=np.int64)
         found = ctypes.c_int64()
@@ -273,25 +292,6 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
             raise ValueError(f"eigendecomposition failed: dstemr found {found.value} of {cols} eigenvectors")
         return vals[:cols], z
 
-    # dstebz's outputs and workspace, shared by every bisection
-    w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    rwork, riwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
-
-    @cache
-    def eigenvalue(i: int) -> float:
-        """The i-th ascending eigenvalue, by Sturm-sequence bisection."""
-        found, nsplit = ctypes.c_int64(), ctypes.c_int64()
-        vbound, abstol = ctypes.c_double(), ctypes.c_double(0.0)  # 0: dstebz's default accuracy
-        lapack["dstebz"](b"I", b"E", _int(n), ctypes.byref(vbound), ctypes.byref(vbound),
-                         _int(i + 1), _int(i + 1), ctypes.byref(abstol), d.ctypes.data,
-                         e.ctypes.data, ctypes.byref(found), ctypes.byref(nsplit), w.ctypes.data,
-                         iblock.ctypes.data, isplit.ctypes.data, rwork.ctypes.data,
-                         riwork.ctypes.data, ctypes.byref(info), 1, 1)
-        _check(lapack["dstebz"], info)
-        if found.value != 1:
-            raise ValueError(f"eigendecomposition failed: dstebz found {found.value} eigenvalues at index {i}")
-        return float(w[0])
-
     def values(lo: int, hi: int) -> np.ndarray | None:
         got = call(lo, hi)
         return None if got is None else got[0]
@@ -301,7 +301,7 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
         return call(clo, chi)[0][lo - clo:hi - clo]
 
     opened = []
-    for new, ceiling in _chunk_order(n, values, eigenvalue):
+    for new, ceiling in _chunk_order(n, values, lambda: call(0, n)[0]):
         opened += new
         mags = np.sort(np.abs(np.concatenate([owned(c) for c in opened])))[::-1]
         if len(mags) > k and mags[k] > ceiling:
@@ -316,35 +316,37 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
         for c in sorted(set(which.tolist())):  # np.unique would import numpy.ma
             lo, hi, clo, chi = opened[c]
             z = call(clo, chi)[1][lo - clo:hi - clo]
+            picked = which == c
+            rows = indices[picked] - starts[c]
             # at most _CHUNK columns per call: dormtr's own workspace query
             # is too small for its blocked path, and its unblocked path is
             # slow on wide calls, while slices give the wide call's bits
-            for s in range(0, len(z), _CHUNK):
+            for s in sorted(set((rows - rows % _CHUNK).tolist())):
                 part = z[s:s + _CHUNK]
                 _with_workspace(lapack["dormtr"], (b"L", b"L", b"N", _int(n), _int(len(part)), a.ctypes.data,
                                                    _int(n), tau.ctypes.data, part.ctypes.data, _int(n)),
                                 info, (1, 1, 1))
-            picked = which == c
-            vecs[:, picked] = z[indices[picked] - starts[c]].T
+            vecs[:, picked] = z[rows].T
         return vecs
 
     with np.errstate(over="ignore"):  # an infinite eigenvalue is rejected by the caller
         return np.ldexp(vals, -shift), vectors_at
 
 
-def _chunk_order(n: int, values, eigenvalue):
+def _chunk_order(n: int, values, spectrum):
     """The eigenvector chunks of an ascending spectrum of n eigenvalues,
     in the order the partial solve opens them.
 
     values(lo, hi) gives eigenvalues lo..hi-1 from one dstemr call on
     that index range, or None when dstemr refuses the range;
-    eigenvalue(i) gives the i-th eigenvalue by bisection, which only the
-    fallback below asks for.
+    spectrum() gives all n eigenvalues from the full decomposition,
+    which only the fallback below asks for.
 
     Yields (chunks, ceiling) per step: the two end chunks at the first
     step, then one chunk per step from whichever end of the unopened
     middle holds the larger |eigenvalue|. A chunk (lo, hi, clo, chi)
-    holds indices lo..hi-1, whose pairs come from the call on clo..chi-1.
+    holds indices lo..hi-1, whose pairs come from the call on clo..chi-1:
+    the full decomposition when that range is 0..n-1, otherwise dstemr.
     ceiling exceeds by tol every |eigenvalue| the middle still holds
     (-inf once it is empty).
 
@@ -352,44 +354,42 @@ def _chunk_order(n: int, values, eigenvalue):
     one index wider, toward the middle: the extra eigenvalue tells
     whether the chunk's inner boundary separates two eigenvalues within
     tol, and bounds the middle. tol is _CLUSTER_TOL of the spectral
-    radius, which the two end calls give. When the extra value lies
-    within tol of the chunk's innermost one, or dstemr refuses the range
-    (as it can when the range cuts a tight cluster), bisection moves the
-    boundary toward the middle until it separates no such pair, and the
-    chunk is called on exactly its settled range. So a cluster's
-    eigenvectors come from one dstemr call and stay orthogonal.
+    radius, which the two end calls give, or spectrum() where dstemr
+    refuses one. When the extra value lies within tol of the chunk's
+    innermost one, or dstemr refuses the range (as it can when the range
+    cuts a tight cluster), the boundary moves toward the middle, as read
+    off spectrum(), until it separates no such pair, and the chunk takes
+    its pairs from the full decomposition; so does a chunk that takes the
+    rest of the middle when dstemr refuses exactly that range. So a
+    cluster's eigenvectors come from one call and stay orthogonal.
     """
     lo, hi = 0, n
     below = above = 0.0  # eigenvalues lo and hi - 1, the ends of the middle
-
-    def settled(clo: int, chi: int) -> tuple[int, int]:
-        if values(clo, chi) is None:
-            raise ValueError(f"eigendecomposition failed: dstemr refused the settled range [{clo}, {chi})")
-        return clo, chi
+    whole = (0, n)
 
     def ceiling() -> float:
         return max(abs(below), abs(above)) + tol if lo < hi else -np.inf
-
-    def settle(b: int, step: int) -> int:
-        while lo < b < hi and eigenvalue(b) - eigenvalue(b - 1) <= tol:
-            b += step
-        return min(max(b, lo), hi)
 
     def cut(step: int) -> tuple[int, int, int, int]:
         """The next chunk from the low (step 1) or high (step -1) end of the middle."""
         nonlocal lo, hi, below, above
         b = min(lo + _CHUNK, hi) if step > 0 else max(hi - _CHUNK, lo)
-        call = None
+        edge = 0.0
         if lo < b < hi:
-            wide = (lo, b + 1) if step > 0 else (b - 1, hi)
-            got = values(*wide)
+            call = (lo, b + 1) if step > 0 else (b - 1, hi)
+            got = values(*call)
             if got is not None and (got[-1] - got[-2] if step > 0 else got[1] - got[0]) > tol:
-                call, edge = wide, float(got[-1] if step > 0 else got[0])
+                edge = float(got[-1] if step > 0 else got[0])
             else:
-                b = settle(b, step)
-        if call is None:
-            call = settled(lo, b) if step > 0 else settled(b, hi)
-            edge = eigenvalue(b if step > 0 else b - 1) if lo < b < hi else 0.0
+                vals, call = spectrum(), whole
+                while lo < b < hi and vals[b] - vals[b - 1] <= tol:
+                    b += step
+                if lo < b < hi:
+                    edge = float(vals[b if step > 0 else b - 1])
+        else:
+            call = (lo, b) if step > 0 else (b, hi)
+            if values(*call) is None:
+                call = whole
         if step > 0:
             chunk, lo, below = (lo, b, *call), b, edge
         else:
@@ -397,11 +397,11 @@ def _chunk_order(n: int, values, eigenvalue):
         return chunk
 
     if n < 2 * _CHUNK + 2:  # the two end calls would overlap: one call
-        yield [(0, n, *settled(0, n))], -np.inf
+        yield [(0, n, *whole)], -np.inf
         return
     low, high = values(0, _CHUNK + 1), values(n - _CHUNK - 1, n)
-    tol = _CLUSTER_TOL * max(-(eigenvalue(0) if low is None else float(low[0])),
-                             eigenvalue(n - 1) if high is None else float(high[-1]))
+    tol = _CLUSTER_TOL * max(-(spectrum()[0] if low is None else float(low[0])),
+                             spectrum()[-1] if high is None else float(high[-1]))
     ends = [cut(1)]
     if lo < hi:
         ends.append(cut(-1))

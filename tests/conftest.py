@@ -80,6 +80,18 @@ def random_valid_spec(rng: np.random.Generator, k: int, n: int, signed: bool = T
     return rows, p
 
 
+def shuffled_copies(seed: int, n: int = 640) -> np.ndarray:
+    """n // 8 copies of one random 8-node graph, with the nodes shuffled:
+    every eigenvalue of the small graph has multiplicity n // 8, and the
+    tridiagonal form does not split into the copies."""
+    rng = np.random.default_rng(seed)
+    b = (rng.random((8, 8)) < 0.4).astype(float)
+    b = np.triu(b, 1)
+    b = b + b.T
+    p = rng.permutation(n)
+    return np.kron(np.eye(n // 8), b)[np.ix_(p, p)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -14,7 +14,7 @@ from mmdf.cli import main
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
 from mmdf.harness import ExperimentConfig, _pin_blas_threads, run_simulation
 
-from conftest import standard_spec
+from conftest import shuffled_copies, standard_spec
 
 
 # the BLAS threads each process of a two-worker pool gets
@@ -157,10 +157,15 @@ class TestRunSimulation:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         config = small_config(Family.NORMAL, values=(5.0, 20.0, 50.0), reps=3, estimate_counts=True)
-        assert run_simulation(config, workers=2) == run_simulation(config)
+        pooled, alone = run_simulation(config, workers=2), run_simulation(config)
+        assert pooled == alone
         # one pool, whose processes each get their share of the cores
         assert built == [{"max_workers": 2, "initializer": _pin_blas_threads,
                           "initargs": (TWO_WORKER_THREADS,)}]
+        # and each report says how many threads its fits ran on
+        here = blas_threads()
+        assert (pooled.blas_threads, alone.blas_threads) == ((None, None) if here is None
+                                                             else (TWO_WORKER_THREADS, here))
 
     def test_each_worker_runs_its_share_of_the_cores(self, monkeypatch):
         import concurrent.futures
@@ -536,6 +541,18 @@ class TestCli:
         assert payload["config"]["profile"] == "ci"
         assert payload["config"]["replications"] == 25
         assert payload["cells"][0]["successes"] + payload["cells"][0]["failures"] == 25
+
+    def test_many_identical_components_exit_0(self, tmp_path):
+        # 80 shuffled copies of one 8-node graph: dstemr refuses ranges that
+        # cut its clusters of 80 equal eigenvalues
+        m = shuffled_copies(5)
+        rows, cols = np.nonzero(np.triu(m))
+        (tmp_path / "g.edges").write_text("".join(f"v{i} v{j}\n" for i, j in zip(rows, cols)))
+        (tmp_path / "g.labels").write_text("".join(f"v{i}\n" for i in range(len(m))))
+        for command in ("detect", "scan-k"):
+            result = CliRunner().invoke(main, [command, str(tmp_path / "g.edges"), "--labels",
+                                               str(tmp_path / "g.labels"), "--out", str(tmp_path / command)])
+            assert result.exit_code == 0, result.output
 
     @settings(max_examples=200, deadline=None)
     @given(lines=EDGE_LINES, roster=ROSTER, data=st.data())

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from mmdf.generator import Family, sample_adjacency
 from mmdf.modularity import estimate_k
 from mmdf.spectral import top_k_eigen
@@ -36,6 +38,14 @@ def traced_peak(f):
 @pytest.fixture
 def spec():
     return standard_spec(Family.SIGNED, rho=0.5, n=N, pure=100, seed=4)
+
+
+def test_a_spec_checks_its_means_in_blocks(spec):
+    # one block of 64 rows of the means and their masks, 0.16 W and
+    # 0.02 W each at n = 400; the whole n x n means alone would be W
+    built, peak = traced_peak(lambda: replace(spec, rho=0.6))
+    assert built.rho == 0.6
+    assert peak <= 0.5 * W
 
 
 def test_sampling_holds_one_matrix_and_a_block(spec):

@@ -43,7 +43,7 @@ def sweep_csv(report):
 
 
 def sweep_json(report):
-    return dumps({"config": report.config, "cells": [
+    return dumps({"config": report.config, "blas_threads": report.blas_threads, "cells": [
         {"value": c.value, "mean_hamming": c.mean_hamming, "mean_relative": c.mean_relative,
          "accuracy_rate": c.accuracy, "failures": c.failures, "successes": c.successes,
          "failure_stages": c.failure_stages, "k_hat_counts": c.k_hat_counts}

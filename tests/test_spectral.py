@@ -10,6 +10,8 @@ from mmdf import spectral
 from mmdf.graph import WeightedGraph
 from mmdf.spectral import successive_projection, top_k_eigen
 
+from conftest import shuffled_copies
+
 # smallest order that takes the partial LAPACK solve
 N_PARTIAL = spectral._PARTIAL_MIN_N
 
@@ -166,41 +168,20 @@ class TestTopKEigen:
 @contextmanager
 def solver(name: str):
     """Run top_k_eigen's partial LAPACK solve as it runs at n >= N_PARTIAL,
-    the same solve with every chunk boundary settled by its bisection
-    fallback, or force its np.linalg.eigh fallback by hiding the LAPACK
-    binding."""
+    the same solve with dstemr refusing every range ("bisect"), so that
+    every chunk and the spectral radius come from its fallback, which
+    bisects the tridiagonal form recursively (divide and conquer), or
+    force its np.linalg.eigh fallback by hiding the LAPACK binding."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "eigh":
             mp.setattr(spectral, "_lapack", lambda: None)
         elif spectral._lapack() is None:
-            pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
+            pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
         elif name == "bisect":
-            mp.setattr(spectral, "_chunk_order", bisecting(spectral._chunk_order))
+            chunk_order = spectral._chunk_order
+            mp.setattr(spectral, "_chunk_order",
+                       lambda n, values, spectrum: chunk_order(n, lambda lo, hi: None, spectrum))
         yield
-
-
-def bisecting(chunk_order):
-    """chunk_order with dstemr refusing every index range that has an edge
-    inside the spectrum whose two neighbouring eigenvalues were not
-    bisected first, as LAPACK refuses a range that cuts a tight cluster:
-    every chunk boundary, and the spectral radius, then come from the
-    fallback."""
-
-    def order(n, values, eigenvalue):
-        bisected = set()
-
-        def bisect(i):
-            bisected.add(i)
-            return eigenvalue(i)
-
-        def refusing(lo, hi):
-            if all({b - 1, b} <= bisected for b in (lo, hi) if 0 < b < n):
-                return values(lo, hi)
-            return None
-
-        return chunk_order(n, refusing, bisect)
-
-    return order
 
 
 def random_symmetric(rng, n):
@@ -297,9 +278,9 @@ def check_contract(m, k_max, k):
 @pytest.mark.parametrize("name", ["partial", "bisect", "eigh"])
 class TestLargeMatrices:
     """The contract at n >= N_PARTIAL, on the partial LAPACK solve, on the
-    same solve with every chunk boundary bisected ("bisect", its fallback)
-    and on the np.linalg.eigh fallback that runs when numpy's LAPACK
-    lacks it."""
+    same solve with every chunk taken from its divide-and-conquer fallback
+    ("bisect") and on the np.linalg.eigh fallback that runs when numpy's
+    LAPACK lacks it."""
 
     @settings(max_examples=16, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL, N_PARTIAL + 80),
@@ -452,7 +433,7 @@ def test_a_graph_outside_the_safe_range_decomposes_bitwise_as_its_weights(scale)
 def test_partial_solve_runs_from_the_threshold_only(monkeypatch, rng):
     # the solver depends on n (and the numpy build), never on k
     if spectral._lapack() is None:
-        pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
@@ -468,7 +449,7 @@ def test_partial_solve_binds_on_scipy_openblas64():
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy links {lapack.get('name')}, not scipy-openblas64")
-    assert set(spectral._lapack() or ()) == {"dsytrd", "dstebz", "dstemr", "dormtr"}
+    assert set(spectral._lapack() or ()) == {"dsytrd", "dstemr", "dstedc", "dormtr"}
 
 
 def counted_lapack(monkeypatch, refuse=()):
@@ -477,7 +458,7 @@ def counted_lapack(monkeypatch, refuse=()):
     refuse, as LAPACK refuses a range that cuts a tight cluster."""
     routines = spectral._lapack()
     if routines is None:
-        pytest.skip("numpy's LAPACK does not export dsytrd/dstebz/dstemr/dormtr")
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
     calls = []
 
     def counted(name, routine):
@@ -495,16 +476,15 @@ def counted_lapack(monkeypatch, refuse=()):
     return calls
 
 
-def ranges(calls, routine):
-    """The 1-based index range (IL, IU) asked of each dstebz or dstemr call."""
-    at = {"dstebz": (5, 6), "dstemr": (7, 8)}[routine]
-    return [tuple(args[i]._obj.value for i in at) for name, args in calls if name == routine]
+def ranges(calls):
+    """The 1-based index range (IL, IU) asked of each dstemr call."""
+    return [(args[7]._obj.value, args[8]._obj.value) for name, args in calls if name == "dstemr"]
 
 
 def test_partial_solve_opens_only_the_chunks_it_needs(monkeypatch, rng):
     # no pass over the full spectrum runs: dstemr runs per chunk, one
     # index wider toward the middle, and that extra eigenvalue settles the
-    # chunk's boundary and bounds the middle, so nothing is bisected
+    # chunk's boundary and bounds the middle, so dstedc never runs
     calls = counted_lapack(monkeypatch)
     n, width = 200, spectral._CHUNK
     m = random_symmetric(rng, n)
@@ -513,20 +493,20 @@ def test_partial_solve_opens_only_the_chunks_it_needs(monkeypatch, rng):
         top_k_eigen(m, k)
         # the k + 1 largest magnitudes lie in the end chunks, so only those
         # two open
-        assert ranges(calls, "dstemr") == [(1, width + 1), (n - width, n)]
+        assert ranges(calls) == [(1, width + 1), (n - width, n)]
         assert {name for name, _ in calls} == {"dsytrd", "dstemr", "dormtr"}
     for k in (17, 24):
         calls.clear()
         top_k_eigen(m, k)
-        opened = ranges(calls, "dstemr")
+        opened = ranges(calls)
         assert len(opened) > 2 and all(iu - il == width for il, iu in opened)
-        assert not ranges(calls, "dstebz")
+        assert "dstedc" not in {name for name, _ in calls}
 
 
 @pytest.mark.parametrize("n, k", [(200, 3), (800, 5)])
 def test_call_budget_on_well_separated_spectra(monkeypatch, rng, n, k):
     # the benchmark's shapes, a fit at n = 200 and k = 3 and a scan to
-    # k = 5 at n = 800, cost one dstemr call per end and no bisection
+    # k = 5 at n = 800, cost one dstemr call per end and no dstedc
     calls = counted_lapack(monkeypatch)
     top_k_eigen(with_spectrum(rng, spaced(rng, -1.0, 1.0, n)), k)
     names = [name for name, _ in calls]
@@ -536,21 +516,23 @@ def test_call_budget_on_well_separated_spectra(monkeypatch, rng, n, k):
 
 @pytest.mark.parametrize("refused", ["low", "high", "both"])
 def test_dstemr_refusing_an_end_range(monkeypatch, rng, refused):
-    # an end's first call can be refused: bisection then gives that end's
-    # extreme eigenvalue for the radius and settles the end's boundary
+    # an end's first call can be refused: the full decomposition then
+    # gives that end's extreme eigenvalue for the radius, and the end's
+    # chunk its pairs
     n, width = N_PARTIAL + 7, spectral._CHUNK
-    ends = {"low": ((1, width + 1), (1, 1)), "high": ((n - width, n), (n, n))}
+    ends = {"low": (1, width + 1), "high": (n - width, n)}
     chosen = [ends[e] for e in ends if refused in (e, "both")]
-    calls = counted_lapack(monkeypatch, refuse=[call for call, _ in chosen])
+    calls = counted_lapack(monkeypatch, refuse=chosen)
     check_contract(random_symmetric(rng, n), 12, 5)
-    for call, extreme in chosen:
-        assert call in ranges(calls, "dstemr") and extreme in ranges(calls, "dstebz")
+    assert all(call in ranges(calls) for call in chosen)
+    # once per top_k_eigen call: no accepted dstemr call holds that end
+    assert [name for name, _ in calls].count("dstedc") == 2
 
 
 def test_a_cluster_widens_an_end_chunk(monkeypatch, rng):
     # 12 eigenvalues within 1e-8 of the radius at the top of the spectrum:
-    # one dstemr call computes the whole cluster, and its back-transform,
-    # done in slices, keeps the prefix contract
+    # the full decomposition computes the whole cluster, and its
+    # back-transform, done in slices, keeps the prefix contract
     calls = counted_lapack(monkeypatch)
     n = N_PARTIAL + 5
     spectrum = spaced(rng, -1.0, 1.0, n)
@@ -558,7 +540,12 @@ def test_a_cluster_widens_an_end_chunk(monkeypatch, rng):
     m = with_spectrum(rng, spectrum)
     for k_max, k in [(14, 13), (14, 1), (20, 12)]:
         check_contract(m, k_max, k)
-    assert (n - 11, n) in ranges(calls, "dstemr")
+    assert "dstedc" in {name for name, _ in calls}
+    # no pairs come from a dstemr range with an edge inside the cluster
+    # (1-based indices n - 11 to n): the only such range is the probe one
+    # index wider than the top chunk, whose extra value lies in it
+    inside = range(n - 10, n + 1)
+    assert {(il, iu) for il, iu in ranges(calls) if il in inside or iu + 1 in inside} == {(n - 4, n)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,7 +556,7 @@ def test_chunk_bounds_partition_without_splitting_clusters(clusters):
     vals = np.sort(np.repeat([v for v, _ in clusters], [r for _, r in clusters]))
     n, width = len(vals), spectral._CHUNK
     tol = spectral._CLUSTER_TOL * max(-vals[0], vals[-1])
-    asked = set()
+    asked = []
 
     def cuts(b):
         return 0 < b < n and vals[b] - vals[b - 1] <= tol
@@ -577,20 +564,22 @@ def test_chunk_bounds_partition_without_splitting_clusters(clusters):
     def values(lo, hi):
         return None if cuts(lo) or cuts(hi) else vals[lo:hi]
 
-    def eigenvalue(i):
-        asked.add(i)
-        return float(vals[i])
+    def spectrum():
+        asked.append(True)
+        return vals
 
-    steps = list(spectral._chunk_order(n, values, eigenvalue))
+    steps = list(spectral._chunk_order(n, values, spectrum))
     chunks = sorted(c for new, _ in steps for c in new)
     b = np.array([lo for lo, *_ in chunks] + [n])
     assert b[0] == 0 and [lo for lo, *_ in chunks[1:]] == [hi for _, hi, *_ in chunks[:-1]]
     assert (np.diff(b) > 0).all()
     assert not any(cuts(c) for c in b[1:-1])
-    # a chunk's pairs come from an accepted call on its own indices, or on
-    # one more toward the middle
+    # a chunk's pairs come from the full decomposition (the call on 0..n-1),
+    # or from an accepted call on its own indices or on one more toward
+    # the middle
     for lo, hi, clo, chi in chunks:
-        assert (clo, chi) in {(lo, hi), (lo, hi + 1), (lo - 1, hi)} and values(clo, chi) is not None
+        assert (clo, chi) == (0, n) or (
+            (clo, chi) in {(lo, hi), (lo, hi + 1), (lo - 1, hi)} and values(clo, chi) is not None)
     # each step reports the largest magnitude the unopened middle holds,
     # plus tol, and after the end chunks opens the end of the middle that
     # holds it
@@ -604,8 +593,8 @@ def test_chunk_bounds_partition_without_splitting_clusters(clusters):
         for lo, hi, *_ in new:
             unopened[lo:hi] = False
         assert ceiling == (np.abs(vals[unopened]).max() + tol if unopened.any() else -np.inf)
-    # away from the clusters the end chunks hold _CHUNK indices, and
-    # nothing is bisected
+    # away from the clusters the end chunks hold _CHUNK indices, and the
+    # full spectrum is never asked for
     if np.diff(vals).min(initial=np.inf) > tol and n >= 2 * width + 2:
         assert b[1] == width and b[-2] == n - width
         assert not asked
@@ -722,3 +711,22 @@ class TestSuccessiveProjection:
         rng = np.random.default_rng(seed)
         y = rng.normal(size=(10, 3))
         assert successive_projection(y, 3).tolist() == successive_projection(c * y, 3).tolist()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_many_identical_components(seed):
+    # dstemr refuses ranges that cut these clusters (seed 5 at every k)
+    m = shuffled_copies(seed)
+    # magnitudes: where x and -x are both eigenvalues, which comes first
+    # is up to rounding; the residuals check the signs
+    want = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    radius = float(want[0])
+    widest = top_k_eigen(m, 16)
+    for k in (1, 2, 6, 16):
+        got = top_k_eigen(m, k) if k < 16 else widest
+        v = got.vectors
+        assert np.abs(np.abs(got.values) - want[:k]).max() <= 1e-12 * radius
+        assert np.linalg.norm(m @ v - v * got.values, axis=0).max() <= 1e-12 * radius
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+        assert got.values.tobytes() == widest.values[:k].tobytes()
+        assert np.ascontiguousarray(v).tobytes() == np.ascontiguousarray(widest.vectors[:, :k]).tobytes()
