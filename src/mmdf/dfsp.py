@@ -34,6 +34,8 @@ _RANK_TOL = 1e-12
 # is a tie: the k-dimensional eigenspace is not identified. Rounding
 # gives ~1e-13; the smallest gap measured on sampled graphs was 3.8e-5
 _TIE_TOL = 1e-9
+# a membership row is a probability vector when its sum is within this of 1
+_ROW_SUM_TOL = 1e-10
 
 
 class EstimationError(RuntimeError):
@@ -68,7 +70,7 @@ class DfspReport:
     corner_condition: float
 
 
-def validate_memberships(m: np.ndarray, tol: float = 1e-10) -> None:
+def validate_memberships(m: np.ndarray) -> None:
     """Raise unless every row of m is a probability vector."""
     m = np.asarray(m)
     if m.ndim != 2:
@@ -77,7 +79,7 @@ def validate_memberships(m: np.ndarray, tol: float = 1e-10) -> None:
     # on every scored k
     if m.min(initial=0.0) < 0:
         raise ValueError("membership entries must be nonnegative")
-    if np.abs(m.sum(axis=1) - 1.0).max(initial=0.0) > tol:
+    if np.abs(m.sum(axis=1) - 1.0).max(initial=0.0) > _ROW_SUM_TOL:
         raise ValueError("membership rows must sum to 1")
 
 

@@ -365,8 +365,10 @@ def sample_adjacency(
     drive replicate streams externally.
 
     Each block of _BLOCK_ROWS rows forms its own means above the diagonal
-    and draws them into W in row-major order; the bytes and RNG stream
-    are those of a draw over population_adjacency at np.triu_indices.
+    and draws them into W in row-major order: the draw order and RNG
+    stream are those of a draw over population_adjacency at
+    np.triu_indices, and the means agree with it within eps * peak (a
+    block's product need not round as the whole product does).
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)

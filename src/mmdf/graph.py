@@ -238,14 +238,13 @@ def load_edge_list(
                 tokens = [t for t in map(str.strip, line.split(",")) if t]
             else:
                 tokens = line.split()
-            if first_data_line and len(tokens) >= 2:
+            if first_data_line and len(tokens) == 3:
                 # header detection: last column not numeric
                 try:
                     float(tokens[-1])
                 except ValueError:
-                    if len(tokens) >= 3:
-                        first_data_line = False
-                        continue
+                    first_data_line = False
+                    continue
             first_data_line = False
             if len(tokens) == 3:
                 try:

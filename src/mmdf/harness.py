@@ -29,7 +29,7 @@ from .dfsp import DfspReport, EstimationError, dfsp, harden
 from .generator import GeneratorSpec, read_key, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
-from .modularity import DEFAULT_K_MAX, KScanResult, estimate_k, fuzzy_weighted_modularity
+from .modularity import KScanResult, estimate_k, fuzzy_weighted_modularity
 from .spectral import _library, top_k_eigen
 
 __all__ = [
@@ -330,7 +330,7 @@ class DetectReport:
     q: float
     eta_mixed: float
     eta_pure: float
-    eigenvalue_magnitudes: tuple[float, ...]  # top k+1, for the spectral gap
+    eigenvalue_magnitudes: tuple[float, ...]  # top k + 1 (k at k = n), for the spectral gap
     spectral_gap: float
     fit: DfspReport
     scan: KScanResult | None = None
@@ -339,30 +339,24 @@ class DetectReport:
 def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None = None) -> DetectReport:
     """Estimate memberships for one graph, scanning for k when not given.
 
-    k_max is ignored when k is given; otherwise it defaults to
-    min(DEFAULT_K_MAX, n - 1). One eigendecomposition of min(c + 1, n)
-    pairs, where c is k or k_max, serves the scan, the fit and the k+1
-    magnitudes of the spectral gap; a scan's fit and score at the
-    selected k are reused, not recomputed. Raises ValueError, before any
-    decomposition, unless c lies in 1..n.
+    Without k this is estimate_k(graph, k_max=k_max) and its best point,
+    whose fit and score are reused, not recomputed; k_max is ignored when
+    k is given, and the fit is dfsp(top_k_eigen(graph, k), k). Either way
+    one eigendecomposition serves the fit and the spectral gap, which
+    reads |lambda_{k+1}| from the fit's spectrum. Raises ValueError,
+    before any decomposition, unless k or k_max lies in 1..n.
     """
-    if k is None and k_max is None:
-        k_max = min(DEFAULT_K_MAX, graph.n - 1)
-    name, ceiling = ("k", k) if k is not None else ("k_max", k_max)
-    if not 1 <= ceiling <= graph.n:
-        raise ValueError(f"{name}={ceiling} out of range for n={graph.n}")
-    spectrum = top_k_eigen(graph, min(ceiling + 1, graph.n))
     scan = None
     if k is None:
-        scan = estimate_k(graph, k_max=k_max, eigen=spectrum)
+        scan = estimate_k(graph, k_max=k_max)
         best = scan.point(scan.best_k)
         k, report, q = best.k, best.report, best.modularity
     else:
-        report = dfsp(spectrum, k)
+        report = dfsp(top_k_eigen(graph, k), k)
         q = fuzzy_weighted_modularity(graph, report.memberships)
     eta = mixedness_indices(report.memberships)
-    mags = tuple(float(abs(v)) for v in spectrum.values[: k + 1])
-    gap = mags[k - 1] - (mags[k] if len(mags) > k else 0.0)
+    nxt = report.eigen.next_magnitude
+    mags = tuple(float(abs(v)) for v in report.eigen.values) + ((nxt,) if k < graph.n else ())
     return DetectReport(
         memberships=report.memberships,
         labels=harden(report.memberships),
@@ -371,7 +365,7 @@ def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None =
         eta_mixed=eta.eta_mixed,
         eta_pure=eta.eta_pure,
         eigenvalue_magnitudes=mags,
-        spectral_gap=gap,
+        spectral_gap=mags[k - 1] - nxt,
         fit=report,
         scan=scan,
     )

@@ -132,6 +132,9 @@ def mislabel_count(estimate: np.ndarray, truth: np.ndarray) -> int:
     truth = np.asarray(truth, dtype=int)
     if estimate.shape != truth.shape or estimate.ndim != 1:
         raise ValueError(f"label vectors must match: {estimate.shape} vs {truth.shape}")
+    low = min(estimate.min(initial=0), truth.min(initial=0))
+    if low < 0:
+        raise ValueError(f"labels must be nonnegative community indices, got {low}")
     k = int(max(estimate.max(), truth.max())) + 1
     confusion = np.zeros((k, k))
     np.add.at(confusion, (estimate, truth), 1)

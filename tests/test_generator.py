@@ -307,6 +307,23 @@ class TestSampling:
             expected = triu_sample_oracle(spec, np.random.default_rng(seed))
             assert graph.weights.tobytes() == expected.tobytes()
 
+    def test_distinct_mixed_rows_match_the_oracle_within_rounding(self):
+        # with every row distinct, a block's means can differ from the whole
+        # product's in the last bit (BLAS picks kernels by shape), so only the
+        # draw order and the RNG stream are bitwise those of the oracle
+        n = 204
+        m = np.random.default_rng(0).dirichlet(np.ones(3), size=n)
+        dist = EdgeDistribution(Family.POINT_MASS)
+        spec = GeneratorSpec(memberships=m, connectivity=check_connectivity(P_NONNEG[:3, :3], dist),
+                             rho=1.0, distribution=dist)
+        rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+        graph, _ = sample_adjacency(spec, rng=rng)
+        expected = triu_sample_oracle(spec, oracle_rng)
+        iu = np.triu_indices(n, 1)
+        peak = np.abs(population_adjacency(spec)).max()
+        assert np.abs(graph.weights[iu] - expected[iu]).max() <= 2 * np.finfo(float).eps * peak
+        assert rng.random() == oracle_rng.random()
+
     @pytest.mark.parametrize("family", list(Family))
     def test_draws_match_the_numpy_samplers(self, family):
         # _draw_weights writes over the means; the values and the stream

@@ -148,6 +148,13 @@ class TestLoader:
         path.write_text("# a comment\nsrc dst weight\n1 2 1\n")
         assert load_edge_list(path).n == 2
 
+    def test_a_first_record_of_four_fields_is_not_a_header(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("a b c d\n1 2 1\n2 3 1\n")
+        with pytest.raises(ParseError, match="got 4") as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == 1
+
     def test_comma_separated(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1,2,0.5\n")

@@ -404,6 +404,14 @@ class TestCli:
         assert "equal magnitude" in result.output
         assert not (tmp_path / "o").exists()
 
+    def test_detect_four_field_first_record_exits_2(self, tmp_path):
+        graph = tmp_path / "g.edges"
+        graph.write_text("a b c d\n1 2 1\n2 3 1\n")
+        result = CliRunner().invoke(main, ["detect", str(graph), "--k", "1", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == ["error: line 1: expected 2 or 3 fields, got 4"]
+        assert not (tmp_path / "o").exists()
+
     def test_detect_non_finite_spectrum_exits_2(self, tmp_path):
         # finite weights whose eigenvalues exceed the float64 range
         graph = tmp_path / "huge.edges"
@@ -442,6 +450,17 @@ class TestCli:
         lines = (out / "datasets.csv").read_text().splitlines()
         assert lines[0].startswith("dataset,")
         assert len(lines) == 3
+
+    def test_datasets_negative_curated_label_exits_2(self, tmp_path):
+        # two weighted triangles joined by a light edge; a -1 would wrap
+        # to the last community and count as no mislabel
+        (tmp_path / "polblogs.edges").write_text("1 2 1\n2 3 2\n1 3 1.5\n3 4 0.3\n4 5 2.5\n5 6 1\n4 6 1.2\n")
+        (tmp_path / "polblogs.truth").write_text("0\n0\n0\n1\n1\n-1\n")
+        result = CliRunner().invoke(main, ["datasets", "--only", "polblogs", "--cache", str(tmp_path),
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: labels must be nonnegative community indices, got -1"]
 
     @pytest.mark.parametrize("k_max", [8, 1], ids=["scanned", "beyond-scan"])
     def test_datasets_no_fit_at_the_curated_count_is_a_notice(self, tmp_path, k_max):

@@ -177,6 +177,12 @@ class TestMislabelCount:
         )
         assert mislabel_count(est, truth) == best
 
+    def test_negative_label_rejected(self):
+        # np.add.at would wrap -1 to the last community
+        for est, truth in (([0, 0, 1], [0, 0, -1]), ([0, -2, 1], [0, 1, 1])):
+            with pytest.raises(ValueError, match="got -"):
+                mislabel_count(np.array(est), np.array(truth))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mislabel_count(np.array([0, 1]), np.array([0, 1, 1]))

@@ -1,12 +1,20 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 from click.testing import CliRunner
 
 from mmdf.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def config_block() -> str:
+    text = README.read_text()
+    section = text[text.index("A simulation config mirrors `ExperimentConfig`"):]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_library_entry_points_block_runs(tmp_path, monkeypatch):
@@ -20,9 +28,7 @@ def test_library_entry_points_block_runs(tmp_path, monkeypatch):
 
 def test_simulation_config_block_runs(tmp_path):
     # the README's config example must stay a config that simulate runs
-    text = README.read_text()
-    section = text[text.index("A simulation config mirrors `ExperimentConfig`"):]
-    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    block = config_block()
     config = tmp_path / "examples.json"
     config.write_text(block)
     out = tmp_path / "out"
@@ -31,3 +37,24 @@ def test_simulation_config_block_runs(tmp_path):
     cells = json.loads((out / "sweep.json").read_text())["cells"]
     assert [c["value"] for c in cells] == json.loads(block)["sweep_values"]
     assert all(c["failures"] + c["successes"] == 25 for c in cells)
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    # every mmdf line of the README's CLI example must exit 0; its paths
+    # under src/ are the repository's, examples.json is the config block
+    # and out/ lands in tmp_path
+    text = README.read_text()
+    section = text[text.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("mmdf ")]
+    assert len(lines) == 4
+    (tmp_path / "examples.json").write_text(config_block())
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        args = [str(ROOT / a) if a.startswith("src/") else a for a in shlex.split(line)[1:]]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (line, result.output)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "datasets.csv", "detect.json", "labels.csv", "memberships.csv",
+        "scan.csv", "scan.json", "sweep.csv", "sweep.json",
+    ]

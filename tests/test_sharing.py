@@ -100,14 +100,14 @@ def test_estimate_k_rejects_short_spectrum(graph):
 
 def test_detect_auto_k_shares_one_spectrum(calls, graph):
     report = detect_graph(graph, k_max=5)
-    assert decomposed_sizes(calls) == [(60, 6)]
+    assert decomposed_sizes(calls) == [(60, 5)]
     assert len(calls["sign_split"]) == 1
     assert len(report.eigenvalue_magnitudes) == report.best_k + 1
 
 
 def test_detect_fixed_k_shares_one_spectrum(calls, graph):
     report = detect_graph(graph, k=3)
-    assert decomposed_sizes(calls) == [(60, 4)]
+    assert decomposed_sizes(calls) == [(60, 3)]
     assert len(calls["sign_split"]) == 1
     assert len(report.eigenvalue_magnitudes) == 4
 
@@ -118,11 +118,15 @@ def test_detect_gap_matches_a_separate_probe(graph):
     assert report.eigenvalue_magnitudes == tuple(float(abs(v)) for v in probe.values)
 
 
-def test_detect_rejects_counts_before_decomposing(calls, graph):
+def test_detect_rejects_counts_before_decomposing(monkeypatch, graph):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solver)
+    monkeypatch.setattr(mmdf.spectral, "_partial_eigh", no_solver)
     for kwargs in ({"k": 0}, {"k": 61}, {"k_max": 0}, {"k_max": 61}):
         with pytest.raises(ValueError, match="out of range for n=60"):
             detect_graph(graph, **kwargs)
-    assert decomposed_sizes(calls) == []
 
 
 @pytest.mark.parametrize("estimate_counts,expected", [(True, [(60, 5)]), (False, [(60, 3)])])
@@ -139,9 +143,10 @@ def test_replicate_decomposes_once(calls, estimate_counts, expected):
 def test_dataset_suite_decomposes_once_per_graph(calls):
     rows = run_dataset_suite(["karate", "gahuku-gama", "slovene-parties"], k_max=12)
     assert [r.notice for r in rows] == [None, None, None]
-    # detect_graph decomposes k_max + 1 pairs for its spectral gap;
+    # detect_graph decomposes only the k_max pairs its scan fits, and reads
+    # the spectral gap's |lambda_{k+1}| from the fit's next_magnitude;
     # slovene-parties (n=10) scans only up to n - 1
-    assert decomposed_sizes(calls) == [(34, 13), (16, 13), (10, 10)]
+    assert decomposed_sizes(calls) == [(34, 12), (16, 12), (10, 9)]
     assert len(calls["sign_split"]) == 3
 
 
