@@ -71,7 +71,8 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 @click.option("--profile", type=click.Choice(sorted(PROFILES)), default=None,
-              help="Replication profile override (paper=100, ci=25).")
+              help="Set the profile and its replication budget ("
+              + ", ".join(f"{p}={n}" for p, n in PROFILES.items()) + ").")
 @click.option("--workers", type=int, default=1, show_default=True)
 # a ValueError from the run is a draw no solver takes (weights near the float64 limit)
 @_exit_codes("bad config: ")
@@ -81,7 +82,7 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
     if seed is not None:
         config = replace(config, seed=seed)
     if profile is not None:
-        config = replace(config, profile=profile, replications=PROFILES[profile])
+        config = replace(config, profile=profile, replications=None)
     report = run_simulation(config, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

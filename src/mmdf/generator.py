@@ -1,12 +1,13 @@
 """Synthetic network generation with a block-structured mean.
 
-A generated network has expected adjacency rho * Pi P Pi' where Pi is a
-row-stochastic membership matrix with at least one pure row per
-community and P is a symmetric full-rank connectivity matrix whose
-largest absolute entry is 1. Edge weights are drawn independently from
-a configurable family (normal, bernoulli, poisson, uniform, signed
-+-1, or the degenerate point mass) with that mean, then optionally
-thinned by an independent bernoulli(p) mask to create missing edges.
+A generated network has expected adjacency rho * Pi P Pi' where Pi is
+any row-stochastic membership matrix (build_membership's have at least
+one pure row per community) and P is a symmetric full-rank connectivity
+matrix whose largest absolute entry is 1. Edge weights are drawn
+independently from a configurable family (normal, bernoulli, poisson,
+uniform, signed +-1, or the degenerate point mass) with that mean, then
+optionally thinned by an independent bernoulli(p) mask to create
+missing edges.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .dfsp import validate_memberships
+from .dfsp import _ROW_SUM_TOL, validate_memberships
 from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph, _equal_by_value
 
 __all__ = [
@@ -201,7 +202,7 @@ def build_membership(
         r += pure_per_community
     for profile, count in mixed_rows:
         profile = np.asarray(profile, dtype=float)
-        if profile.shape != (k,) or np.any(profile < 0) or abs(profile.sum() - 1.0) > 1e-10:
+        if profile.shape != (k,) or np.any(profile < 0) or abs(profile.sum() - 1.0) > _ROW_SUM_TOL:
             raise ValueError(f"mixed row {profile} is not a length-{k} probability vector")
         rows[r : r + count] = profile
         r += count

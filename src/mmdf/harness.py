@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 PROFILES = {"paper": 100, "ci": 25}
+# the JSON kind of each config key but the generator, in field order
+_KEYS = {"sweep_parameter": "str", "sweep_values": "numbers", "replications": "int",
+         "estimate_counts": "bool", "k_scan_max": "int", "seed": "int", "profile": "str"}
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,16 @@ class ExperimentConfig:
 
     sweep_parameter currently supports "rho" and "sparsity"; values are
     validated against the weight family before any sampling happens.
-    estimate_counts toggles the community-count scan per replicate;
-    k_scan_max bounds that scan and must lie in 1..n when it is on.
+    profile names a replication budget of PROFILES, which replications
+    takes when it is None. estimate_counts toggles the community-count
+    scan per replicate; k_scan_max bounds that scan and must lie in 1..n
+    when it is on.
     """
 
     generator: GeneratorSpec
     sweep_parameter: str = "rho"
     sweep_values: tuple[float, ...] = ()
-    replications: int = 100
+    replications: int | None = None
     estimate_counts: bool = True
     k_scan_max: int = 6
     seed: int = 0
@@ -70,6 +75,11 @@ class ExperimentConfig:
     specs: tuple[GeneratorSpec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ValueError(f"unknown profile {self.profile!r}")
+        if self.replications is None:
+            object.__setattr__(self, "replications", PROFILES[self.profile])
+        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
         if self.sweep_parameter not in ("rho", "sparsity"):
             raise ValueError(f"unsupported sweep parameter {self.sweep_parameter!r}")
         if not self.sweep_values:
@@ -83,41 +93,22 @@ class ExperimentConfig:
                 f"k_scan_max={self.k_scan_max} out of range for n={self.generator.n}"
             )
         # raises on inadmissible values
-        specs = tuple(replace(self.generator, **{self.sweep_parameter: float(v)})
-                      for v in self.sweep_values)
+        specs = tuple(replace(self.generator, **{self.sweep_parameter: v}) for v in self.sweep_values)
         object.__setattr__(self, "specs", specs)
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "sweep_parameter": self.sweep_parameter,
-            "sweep_values": list(self.sweep_values),
-            "replications": self.replications,
-            "estimate_counts": self.estimate_counts,
-            "k_scan_max": self.k_scan_max,
-            "seed": self.seed,
-            "profile": self.profile,
-        }
+        return {**{key: getattr(self, key) for key in _KEYS},
+                "generator": self.generator.to_dict(), "sweep_values": list(self.sweep_values)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Read a parsed JSON config; a value of the wrong JSON type
-        raises ValueError naming its key, and unknown keys are ignored."""
+        raises ValueError naming its key, an absent key takes its field's
+        default, and unknown keys are ignored."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
-        profile = read_key(d, "profile", "str", "paper")
-        if profile not in PROFILES:
-            raise ValueError(f"unknown profile {profile!r}")
-        return cls(
-            generator=GeneratorSpec.from_dict(read_key(d, "generator", "object")),
-            sweep_parameter=read_key(d, "sweep_parameter", "str", "rho"),
-            sweep_values=tuple(float(v) for v in read_key(d, "sweep_values", "numbers")),
-            replications=read_key(d, "replications", "int", PROFILES[profile]),
-            estimate_counts=read_key(d, "estimate_counts", "bool", True),
-            k_scan_max=read_key(d, "k_scan_max", "int", 6),
-            seed=read_key(d, "seed", "int", 0),
-            profile=profile,
-        )
+        return cls(GeneratorSpec.from_dict(read_key(d, "generator", "object")),
+                   **{key: read_key(d, key, kind) for key, kind in _KEYS.items() if key in d})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -216,8 +207,9 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     thread count per process: every replicate's RNG stream is derived
     from (config.seed, value index, replicate index). With workers > 1,
     each pool process runs max(1, cores // workers) BLAS threads, cores
-    being those this process may use; workers == 1 runs here, with the
-    BLAS as it is. The report records the thread count either way.
+    being those this process may use, or os.cpu_count() where the
+    platform has no os.sched_getaffinity; workers == 1 runs here, with
+    the BLAS as it is. The report records the thread count either way.
     Raises ValueError, before any sampling, unless workers >= 1.
     """
     if workers < 1:
@@ -229,7 +221,8 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pinned = max(1, len(os.sched_getaffinity(0)) // workers)
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            pinned = max(1, cores // workers)
             threads = None if threads is None else pinned
             run = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_pin_blas_threads, initargs=(pinned,))).map

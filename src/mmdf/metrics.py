@@ -135,7 +135,7 @@ def mislabel_count(estimate: np.ndarray, truth: np.ndarray) -> int:
     low = min(estimate.min(initial=0), truth.min(initial=0))
     if low < 0:
         raise ValueError(f"labels must be nonnegative community indices, got {low}")
-    k = int(max(estimate.max(), truth.max())) + 1
+    k = int(max(estimate.max(initial=0), truth.max(initial=0))) + 1
     confusion = np.zeros((k, k))
     np.add.at(confusion, (estimate, truth), 1)
     # maximize agreement = minimize negated confusion

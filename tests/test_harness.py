@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import mmdf
 from mmdf.cli import main
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
-from mmdf.harness import ExperimentConfig, _pin_blas_threads, run_simulation
+from mmdf.harness import PROFILES, ExperimentConfig, _pin_blas_threads, run_simulation
 
 from conftest import shuffled_copies, standard_spec
 
@@ -207,6 +207,15 @@ class TestRunSimulation:
             report.write_json(tmp_path / f"{name}.json")
         for suffix in ("csv", "json"):
             assert (tmp_path / f"pooled.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
+
+    def test_workers_without_sched_getaffinity_share_every_core(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        config = small_config(values=(2.0,), reps=2)
+        report = run_simulation(config, workers=2)
+        assert report == run_simulation(config)
+        shared = max(1, os.cpu_count() // 2)
+        assert report.blas_threads == (None if blas_threads() is None else shared)
 
     def test_csv_and_json_emission(self, tmp_path):
         report = run_simulation(small_config())
@@ -695,3 +704,41 @@ class TestConfigReader:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         if result.exit_code == 0:
             assert DOCUMENTED[key](value)
+
+
+class TestExperimentConfig:
+    SPEC = standard_spec(Family.POINT_MASS, rho=1.0, n=30, pure=6)
+
+    def test_unknown_profile_raises_at_construction(self):
+        with pytest.raises(ValueError, match="unknown profile 'bogus'"):
+            ExperimentConfig(generator=self.SPEC, sweep_values=(2.0,), profile="bogus")
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_no_replications_takes_the_profile_budget_as_json_does(self, profile):
+        config = ExperimentConfig(generator=self.SPEC, sweep_values=(2.0,), profile=profile)
+        assert config.replications == PROFILES[profile]
+        payload = {"generator": self.SPEC.to_dict(), "sweep_values": [2.0], "profile": profile}
+        assert ExperimentConfig.from_dict(payload) == config
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("replications", [None, 3])
+    def test_to_dict_round_trips_through_json(self, profile, replications):
+        config = dataclasses.replace(small_config(), profile=profile, replications=replications)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_an_absent_key_takes_its_field_default(self):
+        config = small_config(values=(2.0,), reps=2)
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.init}
+        for key in config.to_dict().keys() - {"generator", "sweep_values"}:
+            payload = config.to_dict()
+            del payload[key]
+            assert ExperimentConfig.from_dict(payload) == dataclasses.replace(config, **{key: defaults[key]}), key
+
+    def test_no_sweep_values_exits_2_as_empty(self, tmp_path):
+        payload = small_config(values=(2.0,), reps=2).to_dict()
+        del payload["sweep_values"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == ["error: bad config: sweep_values must be non-empty"]

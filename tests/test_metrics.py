@@ -187,6 +187,9 @@ class TestMislabelCount:
         with pytest.raises(ValueError):
             mislabel_count(np.array([0, 1]), np.array([0, 1, 1]))
 
+    def test_empty_labels_disagree_nowhere(self):
+        assert mislabel_count([], []) == 0
+
 
 class TestAccuracyRate:
     def test_all_correct(self):

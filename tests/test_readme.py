@@ -6,6 +6,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from mmdf.cli import main
+from mmdf.harness import PROFILES
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -37,6 +38,16 @@ def test_simulation_config_block_runs(tmp_path):
     cells = json.loads((out / "sweep.json").read_text())["cells"]
     assert [c["value"] for c in cells] == json.loads(block)["sweep_values"]
     assert all(c["failures"] + c["successes"] == 25 for c in cells)
+
+
+def test_stated_budgets_match_the_profiles():
+    # the README's config paragraph and simulate --help state each budget
+    text = README.read_text()
+    paragraph = text[text.index("`profile` names the replication budget"):].split("\n\n")[0]
+    assert {p: int(n) for p, n in re.findall(r'"(\w+)" = (\d+)', paragraph)} == PROFILES
+    result = CliRunner().invoke(main, ["simulate", "--help"])
+    assert result.exit_code == 0
+    assert {p: int(n) for p, n in re.findall(r"(\w+)=(\d+)", result.output)} == PROFILES
 
 
 def test_cli_block_runs(tmp_path, monkeypatch):
