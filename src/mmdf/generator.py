@@ -3,7 +3,8 @@
 A generated network has expected adjacency rho * Pi P Pi' where Pi is
 any row-stochastic membership matrix (build_membership's have at least
 one pure row per community) and P is a symmetric full-rank connectivity
-matrix whose largest absolute entry is 1. Edge weights are drawn
+matrix whose largest absolute entry is 1; GeneratorSpec checks P against
+these rules itself and holds it as a read-only array. Edge weights are drawn
 independently from a configurable family (normal, bernoulli, poisson,
 uniform, signed +-1, or the degenerate point mass) with that mean, then
 optionally thinned by an independent bernoulli(p) mask to create
@@ -15,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 from sys import float_info
 
 import numpy as np
@@ -26,7 +27,6 @@ from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph, _equal_by_value
 __all__ = [
     "Family",
     "EdgeDistribution",
-    "ConnectivityMatrix",
     "ConnectivityError",
     "GeneratorSpec",
     "DisconnectedSampleWarning",
@@ -36,12 +36,9 @@ __all__ = [
     "sample_adjacency",
 ]
 
-_RANK_TOL = 1e-10
-_MAX_ENTRY_TOL = 1e-12
-
-
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and isfinite(x)
+    # compared exactly: an int beyond the float range is no finite number
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= float_info.max
 
 
 def _is_numbers(x) -> bool:
@@ -61,17 +58,25 @@ _KINDS = {
 _REQUIRED = object()
 
 
-def read_key(d: dict, key: str, kind: str, default=_REQUIRED):
-    """d[key] checked against one JSON kind of _KINDS; an absent key
-    gives default (a KeyError when there is none), and null passes only
-    where the default is None. Raises ValueError naming the key."""
-    value = d[key] if default is _REQUIRED else d.get(key, default)
-    if value is None and default is None:
+def as_kind(name: str, value, kind: str, optional: bool = False):
+    """value as one JSON kind of _KINDS, a numpy scalar as its Python
+    value; None passes only where optional. Raises ValueError naming it,
+    so a constructor refuses what from_dict would refuse of its JSON."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None and optional:
         return None
-    check, name = _KINDS[kind]
+    check, what = _KINDS[kind]
     if not check(value):
-        raise ValueError(f"{key} must be {name}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def read_key(d: dict, key: str, kind: str, default=_REQUIRED):
+    """d[key] as_kind; an absent key gives default (a KeyError when there
+    is none), and null passes only where the default is None."""
+    value = d[key] if default is _REQUIRED else d.get(key, default)
+    return as_kind(key, value, kind, optional=default is None)
 
 
 class Family(str, Enum):
@@ -102,8 +107,8 @@ _RULES = {
 class EdgeDistribution:
     """Edge-weight family plus its parameters.
 
-    sigma2 is the variance of the normal family and is ignored (must be
-    unset) for every other family.
+    sigma2 is the variance of the normal family, a finite number > 0, and
+    must be unset for every other family.
     """
 
     family: Family
@@ -111,6 +116,7 @@ class EdgeDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "sigma2", as_kind("sigma2", self.sigma2, "number", optional=True))
         if self.family is Family.NORMAL:
             if self.sigma2 is None or not self.sigma2 > 0:
                 raise ValueError("normal family requires sigma2 > 0")
@@ -122,58 +128,38 @@ class EdgeDistribution:
         lies in none)."""
         top, inclusive = _RULES[self.family][0]
         if not (0.0 < rho < top or inclusive and rho == top):
-            raise ValueError(
-                f"rho={rho} outside the admissible range of the "
-                f"{self.family.value} family"
-            )
-
-
-@dataclass(frozen=True)
-class ConnectivityMatrix:
-    """Validated symmetric full-rank block-affinity matrix."""
-
-    entries: np.ndarray
-
-    __eq__ = _equal_by_value
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
+            raise ValueError(f"rho={rho} outside the admissible range of the {self.family.value} family")
 
 
 class ConnectivityError(ValueError):
     """Connectivity matrix validation failure."""
 
 
-def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> ConnectivityMatrix:
-    """Validate a candidate connectivity matrix for a weight family.
-
-    Requires exact symmetry within floating tolerance, full rank
-    (smallest singular value > 1e-10), largest absolute entry equal to
-    1 within 1e-12, and nonnegative entries when the family's mean
-    domain demands it.
-    """
-    p = np.asarray(p, dtype=float)
+def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> np.ndarray:
+    """A read-only float copy of p, the array GeneratorSpec holds as its
+    P, once p passes the rules for a weight family: a nonempty square
+    matrix of finite entries, symmetric within 1e-12, of full rank
+    (smallest singular value > 1e-10), with largest absolute entry 1
+    within 1e-12, and nonnegative where the family's mean domain starts
+    at 0. Raises ConnectivityError otherwise."""
+    p = np.array(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ConnectivityError(f"expected square matrix, got shape {p.shape}")
+    if not (p.size and np.isfinite(p).all()):
+        raise ConnectivityError("connectivity matrix must be nonempty with finite entries")
     if float(np.abs(p - p.T).max(initial=0.0)) > 1e-12:
         raise ConnectivityError("connectivity matrix must be symmetric")
     sigma_k = float(np.linalg.svd(p, compute_uv=False)[-1])
-    if sigma_k <= _RANK_TOL:
-        raise ConnectivityError(
-            f"connectivity matrix must have full rank (smallest singular value {sigma_k:.3g})"
-        )
+    if sigma_k <= 1e-10:
+        raise ConnectivityError(f"connectivity matrix must have full rank (smallest singular value {sigma_k:.3g})")
     max_entry = float(np.abs(p).max())
-    if abs(max_entry - 1.0) > _MAX_ENTRY_TOL:
+    if abs(max_entry - 1.0) > 1e-12:
         raise ConnectivityError(f"largest |entry| must be 1 (got {max_entry!r})")
     _, (lo, _) = _RULES[distribution.family]
     if lo == 0.0 and np.any(p < 0):
-        raise ConnectivityError(
-            f"{distribution.family.value} family requires nonnegative connectivity entries"
-        )
-    p = p.copy()
+        raise ConnectivityError(f"{distribution.family.value} family requires nonnegative connectivity entries")
     p.setflags(write=False)
-    return ConnectivityMatrix(entries=p)
+    return p
 
 
 def build_membership(
@@ -212,10 +198,15 @@ def build_membership(
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Everything needed to generate one network deterministically."""
+    """Everything needed to generate one network deterministically.
+
+    Holds read-only copies of the memberships and of P, which it checks
+    with check_connectivity, and takes rho, sparsity and seed as_kind, so
+    from_dict reads back to an equal spec what to_dict writes.
+    """
 
     memberships: np.ndarray
-    connectivity: ConnectivityMatrix
+    connectivity: np.ndarray
     rho: float
     distribution: EdgeDistribution
     sparsity: float | None = None
@@ -224,23 +215,24 @@ class GeneratorSpec:
     __eq__ = _equal_by_value
 
     def __post_init__(self):
-        m = np.asarray(self.memberships, dtype=float)
+        m = np.array(self.memberships, dtype=float)
         validate_memberships(m)
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "memberships", m)
-        if m.shape[1] != self.connectivity.k:
-            raise ValueError(
-                f"membership has {m.shape[1]} communities, "
-                f"connectivity {self.connectivity.k}"
-            )
+        p = check_connectivity(self.connectivity, self.distribution)
+        object.__setattr__(self, "connectivity", p)
+        if m.shape[1] != p.shape[0]:
+            raise ValueError(f"membership has {m.shape[1]} communities, connectivity {p.shape[0]}")
+        object.__setattr__(self, "rho", as_kind("rho", self.rho, "number"))
+        object.__setattr__(self, "sparsity", as_kind("sparsity", self.sparsity, "number", optional=True))
+        object.__setattr__(self, "seed", as_kind("seed", self.seed, "int"))
         self.distribution.check_rho(self.rho)
         if self.sparsity is not None and not 0.0 <= self.sparsity <= 1.0:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the means rho * Pi P Pi', checked in blocks of rows
-        left = self.rho * m @ self.connectivity.entries
+        left = self.rho * m @ p
         _, (lo, hi) = _RULES[self.distribution.family]
         for s in range(0, m.shape[0], _BLOCK_ROWS):
             omega = left[s:s + _BLOCK_ROWS] @ m.T
@@ -264,8 +256,8 @@ class GeneratorSpec:
         return {
             "n": self.n,
             "k": self.k,
-            "memberships": np.asarray(self.memberships).tolist(),
-            "connectivity": np.asarray(self.connectivity.entries).tolist(),
+            "memberships": self.memberships.tolist(),
+            "connectivity": self.connectivity.tolist(),
             "rho": self.rho,
             "family": self.distribution.family.value,
             "sigma2": self.distribution.sigma2,
@@ -275,14 +267,11 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        family = Family(read_key(d, "family", "str"))
-        distribution = EdgeDistribution(family, sigma2=read_key(d, "sigma2", "number", None))
-        connectivity = check_connectivity(np.array(read_key(d, "connectivity", "matrix"), dtype=float), distribution)
         return cls(
-            memberships=np.array(read_key(d, "memberships", "matrix"), dtype=float),
-            connectivity=connectivity,
+            memberships=read_key(d, "memberships", "matrix"),
+            connectivity=read_key(d, "connectivity", "matrix"),
             rho=float(read_key(d, "rho", "number")),
-            distribution=distribution,
+            distribution=EdgeDistribution(read_key(d, "family", "str"), read_key(d, "sigma2", "number", None)),
             sparsity=read_key(d, "sparsity", "number", None),
             seed=read_key(d, "seed", "int", 0),
         )
@@ -290,7 +279,7 @@ class GeneratorSpec:
 
 def _half_factor(spec: GeneratorSpec) -> np.ndarray:
     # 0.5 * rho * Pi P: half the mean is this times Pi', exactly
-    return 0.5 * spec.rho * spec.memberships @ spec.connectivity.entries
+    return 0.5 * spec.rho * spec.memberships @ spec.connectivity
 
 
 def population_adjacency(spec: GeneratorSpec) -> np.ndarray:
@@ -325,12 +314,13 @@ def _component_count(adjacent: np.ndarray) -> int:
 
 
 def _draw_weights(rng: np.random.Generator, means: np.ndarray, distribution: EdgeDistribution) -> np.ndarray:
-    """One draw per mean, in order. Every family but the normal writes
-    its draws over means and returns it."""
+    """One draw per mean, in order, written over means, which it returns."""
     fam = distribution.family
     if fam is Family.NORMAL:
-        return rng.normal(means, sqrt(distribution.sigma2))
-    if fam is Family.BERNOULLI:
+        # rng.normal(means, scale) draws means + scale * z from the same
+        # stream, but through numpy's broadcasting path
+        means += sqrt(distribution.sigma2) * rng.standard_normal(means.shape)
+    elif fam is Family.BERNOULLI:
         np.less(rng.random(means.shape), means, out=means)
     elif fam is Family.POISSON:
         means[...] = rng.poisson(means)

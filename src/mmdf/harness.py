@@ -26,7 +26,7 @@ import numpy as np
 
 from .datasets import DATASETS, DatasetMissing, load_dataset
 from .dfsp import DfspReport, EstimationError, dfsp, harden
-from .generator import GeneratorSpec, read_key, sample_adjacency
+from .generator import GeneratorSpec, as_kind, read_key, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import KScanResult, estimate_k, fuzzy_weighted_modularity
@@ -60,7 +60,8 @@ class ExperimentConfig:
     profile names a replication budget of PROFILES, which replications
     takes when it is None. estimate_counts toggles the community-count
     scan per replicate; k_scan_max bounds that scan and must lie in 1..n
-    when it is on.
+    when it is on. Every field but generator and sweep_values is taken
+    as_kind of its key, so from_dict reads back what to_dict writes.
     """
 
     generator: GeneratorSpec
@@ -75,6 +76,9 @@ class ExperimentConfig:
     specs: tuple[GeneratorSpec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for key, kind in _KEYS.items():
+            if key != "sweep_values":
+                object.__setattr__(self, key, as_kind(key, getattr(self, key), kind, optional=key == "replications"))
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.replications is None:

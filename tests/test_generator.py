@@ -1,6 +1,8 @@
+import json
 import re
 import warnings
-from math import inf, isinf, nan
+from dataclasses import replace
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from scipy.sparse.csgraph import connected_components
 
 from mmdf.generator import (
     ConnectivityError,
-    ConnectivityMatrix,
     DisconnectedSampleWarning,
     EdgeDistribution,
     Family,
@@ -53,13 +54,27 @@ class TestBuildMembership:
 class TestCheckConnectivity:
     def test_signed_design_matrix_valid(self):
         c = check_connectivity(P_SIGNED, EdgeDistribution(Family.NORMAL, sigma2=2.0))
-        assert c.k == 3
-        assert np.array_equal(c.entries, P_SIGNED)
+        assert type(c) is np.ndarray and c.dtype == float and c.shape == (3, 3)
+        assert np.array_equal(c, P_SIGNED)
 
     def test_nonnegative_design_matrix_valid(self):
-        c = check_connectivity(P_NONNEG, EdgeDistribution(Family.BERNOULLI))
-        assert np.array_equal(c.entries, P_NONNEG)
-        assert not c.entries.flags.writeable
+        # a read-only copy: writing to the caller's matrix changes nothing
+        p = P_NONNEG.copy()
+        c = check_connectivity(p, EdgeDistribution(Family.BERNOULLI))
+        assert np.array_equal(c, P_NONNEG)
+        assert not c.flags.writeable
+        p[0, 0] = 5.0
+        assert np.array_equal(c, P_NONNEG)
+
+    @pytest.mark.parametrize("bad", [[[nan]], [[1.0, inf], [inf, 1.0]], [[-inf]], np.zeros((0, 0))])
+    def test_non_finite_or_empty_rejected(self, bad):
+        # before any arithmetic, so no numpy warning and no LinAlgError
+        distribution = EdgeDistribution(Family.NORMAL, sigma2=1.0)
+        message = "connectivity matrix must be nonempty with finite entries"
+        with pytest.raises(ConnectivityError, match=f"^{message}$"):
+            check_connectivity(bad, distribution)
+        with pytest.raises(ConnectivityError, match=f"^{message}$"):
+            GeneratorSpec(memberships=np.ones((1, 1)), connectivity=bad, rho=1.0, distribution=distribution)
 
     def test_scaled_matrix_fails_max_entry(self):
         with pytest.raises(ConnectivityError, match=r"largest \|entry\| must be 1"):
@@ -135,14 +150,41 @@ def family_distribution(family: Family) -> EdgeDistribution:
     return EdgeDistribution(family, sigma2=1.0 if family is Family.NORMAL else None)
 
 
-def one_node_spec(family: Family, mean: float) -> GeneratorSpec:
-    # one node in one community, so the block mean is rho times the one
-    # connectivity entry, which is built without check_connectivity; rho
-    # is 1, or 1/2 where 1 is inadmissible (halving and doubling are exact)
-    rho = 0.5 if family is Family.SIGNED else 1.0
-    p = ConnectivityMatrix(entries=np.array([[mean / rho]]))
-    return GeneratorSpec(memberships=np.ones((1, 1)), connectivity=p, rho=rho,
-                         distribution=family_distribution(family))
+# a membership row [ROW_SUM, 0] passes the 1e-10 row-sum tolerance and
+# puts a spec's means just beyond rho * P[0, 0]
+ROW_SUM = 1 + 5e-11
+NEAR_ONE = float(np.nextafter(1.0, 0.0))
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+def two_node_spec(family: Family, rho: float, p00: float, row_sum: float = 1.0) -> GeneratorSpec:
+    # two nodes with the row [row_sum, 0], so every mean is rho * row_sum**2 * p00,
+    # and a P of full rank with largest |entry| 1 that is nonnegative where p00 is
+    off = 1.0 - abs(p00)
+    return GeneratorSpec(memberships=np.array([[row_sum, 0.0]] * 2), connectivity=np.array([[p00, off], [off, 1.0]]),
+                         rho=rho, distribution=family_distribution(family))
+
+
+# per family, (rho, P[0, 0]) of a pure-row spec at each end of the mean
+# domain, whose mean rho * P[0, 0] is that end or, where no validated spec
+# reaches it, the nearest mean one does: no mean lies below 0 when P >= 0,
+# rho < 1 keeps signed means off +-1, and a mean is infinite only where
+# rho * Pi P overflows, so the largest admissible rho stands for those ends
+DOMAIN_END_SPECS = {
+    Family.NORMAL: [(FLOAT_MAX, -1.0), (FLOAT_MAX, 1.0)],
+    Family.BERNOULLI: [(1.0, 0.0), (1.0, 1.0)],
+    Family.POISSON: [(1.0, 0.0), (FLOAT_MAX, 1.0)],
+    Family.UNIFORM: [(1.0, 0.0), (FLOAT_MAX / 2.0, 1.0)],
+    Family.SIGNED: [(NEAR_ONE, -1.0), (NEAR_ONE, 1.0)],
+    Family.POINT_MASS: [(FLOAT_MAX, -1.0), (FLOAT_MAX, 1.0)],
+}
+# per family, (rho, P[0, 0]) of a spec whose means rho * ROW_SUM**2 * P[0, 0]
+# lie just beyond a finite end that validated specs get past
+BEYOND_DOMAIN_SPECS = {
+    Family.BERNOULLI: [(1.0, 1.0)],
+    Family.UNIFORM: [(1e308, 1.0)],
+    Family.SIGNED: [(NEAR_ONE, -1.0), (NEAR_ONE, 1.0)],
+}
 
 
 class TestFamilyRules:
@@ -170,15 +212,16 @@ class TestFamilyRules:
     @pytest.mark.parametrize("family", list(Family))
     def test_mean_domain_ends(self, family):
         _, _, lo, hi = FAMILY_RULES[family]
-        for end, outward in ((lo, -inf), (hi, inf)):
-            one_node_spec(family, end)
-            if isinf(end):
-                continue
-            beyond = np.nextafter(end, outward)
-            message = (f"mean {float(beyond)!r} at entry (0, 0) is outside the "
+        for rho, p00 in DOMAIN_END_SPECS[family]:
+            mean = population_adjacency(two_node_spec(family, rho, p00))[0, 1]
+            assert mean == rho * p00 and lo <= mean <= hi
+        for rho, p00 in BEYOND_DOMAIN_SPECS.get(family, []):
+            beyond = rho * ROW_SUM * ROW_SUM * p00
+            assert not lo <= beyond <= hi
+            message = (f"mean {beyond!r} at entry (0, 0) is outside the "
                        f"{family.value} family's domain [{lo}, {hi}]")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                one_node_spec(family, float(beyond))
+                two_node_spec(family, rho, p00, ROW_SUM)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_nonnegative_connectivity_exactly_where_means_start_at_zero(self, family):
@@ -213,19 +256,15 @@ class TestPopulation:
         assert sv[3] <= 1e-9 * sv[0]
 
     def test_bernoulli_mean_domain_violation_names_entry(self):
-        # a signed-admissible connectivity paired with the bernoulli
-        # family puts negative means in play, which must be rejected
-        # with the offending entry named
-        dist = EdgeDistribution(Family.BERNOULLI)
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            GeneratorSpec(
-                memberships=np.eye(2),
-                connectivity=check_connectivity(
-                    np.array([[1.0, -0.5], [-0.5, 1.0]]), EdgeDistribution(Family.SIGNED)
-                ),
-                rho=0.5,
-                distribution=dist,
-            )
+        # 70 nodes pure in community 1, whose means are 0.5, then one with
+        # the row [ROW_SUM, 0]: its own mean, in the second 64-row block of
+        # the check, is the first beyond 1
+        m = np.array([[0.0, 1.0]] * 70 + [[ROW_SUM, 0.0]])
+        message = ("mean 1.0000000001 at entry (70, 70) is outside the "
+                   "bernoulli family's domain [0.0, 1.0]")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec(memberships=m, connectivity=np.array([[1.0, 0.5], [0.5, 0.5]]),
+                          rho=1.0, distribution=EdgeDistribution(Family.BERNOULLI))
 
 
 def triu_sample_oracle(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
@@ -463,12 +502,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", [Family.POISSON, Family.UNIFORM])
     def test_negative_mean_rejected_by_the_spec(self, family):
-        # a connectivity matrix built without check_connectivity still
-        # cannot reach the sampler with a negative mean
-        p = ConnectivityMatrix(entries=np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        with pytest.raises(ValueError, match=f"outside the {family.value} family's domain"):
-            GeneratorSpec(memberships=np.eye(2), connectivity=p, rho=1.0,
-                          distribution=EdgeDistribution(family))
+        # the spec checks its P itself, so no negative entry of P, and so
+        # no negative mean, reaches the sampler
+        message = f"{family.value} family requires nonnegative connectivity entries"
+        with pytest.raises(ConnectivityError, match=f"^{message}$"):
+            GeneratorSpec(memberships=np.eye(2), connectivity=np.array([[1.0, -0.5], [-0.5, 1.0]]),
+                          rho=1.0, distribution=EdgeDistribution(family))
 
 
 class TestSparsityMask:
@@ -518,7 +557,8 @@ def test_spec_round_trips_through_dict():
     spec = standard_spec(Family.BERNOULLI, rho=0.4, n=20, pure=4, seed=17, sparsity=0.9)
     restored = GeneratorSpec.from_dict(spec.to_dict())
     assert np.array_equal(restored.memberships, spec.memberships)
-    assert np.array_equal(restored.connectivity.entries, spec.connectivity.entries)
+    assert np.array_equal(restored.connectivity, spec.connectivity)
+    assert not restored.connectivity.flags.writeable
     assert restored.rho == spec.rho
     assert restored.seed == spec.seed
     assert restored.sparsity == spec.sparsity
@@ -528,12 +568,73 @@ def test_spec_round_trips_through_dict():
 def test_spec_equality_compares_arrays_by_value():
     spec = standard_spec(Family.BERNOULLI, rho=0.4, n=20, pure=4, seed=17, sparsity=0.9)
     restored = GeneratorSpec.from_dict(spec.to_dict())
+    assert restored.connectivity is not spec.connectivity
     assert (restored == spec) is True
-    assert (restored.connectivity == spec.connectivity) is True
     memberships = spec.memberships.copy()
     memberships[-1] = memberships[0]
     assert not np.array_equal(memberships, spec.memberships)
     assert GeneratorSpec.from_dict({**spec.to_dict(), "memberships": memberships.tolist()}) != spec
     other = check_connectivity(P_NONNEG.T[::-1, ::-1], spec.distribution)
-    assert not np.array_equal(other.entries, spec.connectivity.entries)
-    assert other != spec.connectivity
+    assert not np.array_equal(other, spec.connectivity)
+    assert replace(spec, connectivity=other) != spec
+
+
+class TestSpecOwnsConnectivityRules:
+    def test_asymmetric_p_rejected_for_the_normal_family(self):
+        # largest |entry| 3 as well; the first rule P breaks is named
+        with pytest.raises(ConnectivityError, match="^connectivity matrix must be symmetric$"):
+            GeneratorSpec(memberships=np.eye(2), connectivity=np.array([[3.0, 0.9], [-0.4, 0.0]]),
+                          rho=1.0, distribution=EdgeDistribution(Family.NORMAL, sigma2=1.0))
+
+    def test_spec_holds_a_copy_of_the_callers_p(self):
+        p = np.array([[1.0, 0.2], [0.2, 1.0]])
+        spec = GeneratorSpec(memberships=np.eye(2), connectivity=p, rho=1.0,
+                             distribution=EdgeDistribution(Family.BERNOULLI))
+        before = population_adjacency(spec)
+        p[0, 0] = 5.0
+        assert not spec.connectivity.flags.writeable
+        assert spec.connectivity[0, 0] == 1.0
+        assert np.array_equal(population_adjacency(spec), before)
+
+    def test_rank_deficient_p_fails_at_construction_not_at_from_dict(self):
+        with pytest.raises(ConnectivityError, match="must have full rank"):
+            GeneratorSpec(memberships=np.eye(2), connectivity=np.ones((2, 2)), rho=1.0,
+                          distribution=EdgeDistribution(Family.BERNOULLI))
+
+    def test_every_replace_checks_p(self):
+        spec = standard_spec(Family.POISSON, rho=2.0, n=20, pure=4)
+        with pytest.raises(ConnectivityError, match="poisson family requires nonnegative"):
+            replace(spec, connectivity=P_SIGNED)
+
+
+class TestSpecValuesAreJsonKinds:
+    def test_infinite_variance_rejected(self):
+        for sigma2 in (inf, nan):
+            with pytest.raises(ValueError, match=f"^sigma2 must be a finite number, got {sigma2}$"):
+                EdgeDistribution(Family.NORMAL, sigma2=sigma2)
+        with pytest.raises(ValueError, match="^sigma2 must be a finite number, got True$"):
+            EdgeDistribution(Family.NORMAL, sigma2=True)
+
+    def test_numpy_scalars_are_taken_as_python_values(self):
+        spec = standard_spec(Family.NORMAL, rho=np.float32(0.5), n=20, pure=4, seed=np.int64(2),
+                             sparsity=np.float64(0.75), sigma2=np.float32(2.0))
+        values = (spec.rho, spec.seed, spec.sparsity, spec.distribution.sigma2)
+        assert values == (0.5, 2, 0.75, 2.0)
+        assert [type(v) for v in values] == [float, int, float, float]
+        assert GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("seed", True, "an integer"),
+        ("seed", 2.0, "an integer"),
+        ("rho", True, "a finite number"),
+        ("rho", "0.5", "a finite number"),
+        ("sparsity", True, "a finite number"),
+    ])
+    def test_values_from_dict_refuses_are_refused(self, key, value, what):
+        # the message read_key gives for the same value in JSON
+        spec = standard_spec(Family.BERNOULLI, rho=0.4, n=20, pure=4)
+        message = f"{key} must be {what}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(spec, **{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec.from_dict({**spec.to_dict(), key: value})

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import mmdf
 from mmdf.cli import main
@@ -664,6 +665,7 @@ class TestConfigReader:
         ("k_scan_max", 1.5),
         ("seed", True),
         ("generator.rho", True),
+        pytest.param("generator.rho", 10**400, id="generator.rho-10**400"),
     ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, key, value):
         result = simulate_with(key, value, tmp_path)
@@ -742,3 +744,98 @@ class TestExperimentConfig:
         result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert result.output.splitlines() == ["error: bad config: sweep_values must be non-empty"]
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("seed", True, "an integer"),
+        ("replications", True, "an integer"),
+        ("k_scan_max", True, "an integer"),
+        ("estimate_counts", 1, "true or false"),
+        ("profile", None, "a string"),
+    ])
+    def test_values_from_dict_refuses_are_refused(self, key, value, what):
+        # the message from_dict gives for the same value in JSON
+        message = f"{key} must be {what}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(small_config(), **{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({**small_config().to_dict(), key: value})
+
+    def test_numpy_seeds_reach_the_sweep_json(self, tmp_path):
+        generator = dataclasses.replace(self.SPEC, seed=np.int64(3), rho=np.float32(0.5))
+        config = ExperimentConfig(generator=generator, sweep_values=(np.float32(2.0),), replications=np.int64(1),
+                                  estimate_counts=np.bool_(False), seed=np.uint32(2), profile="ci")
+        run_simulation(config).write_json(tmp_path / "sweep.json")
+        written = json.loads((tmp_path / "sweep.json").read_text())["config"]
+        assert (written["seed"], written["replications"], written["estimate_counts"]) == (2, 1, False)
+        assert (written["generator"]["seed"], written["generator"]["rho"]) == (3, 0.5)
+        assert ExperimentConfig.from_dict(written) == config
+
+
+def json_int(low, high):
+    """A Python or numpy integer in [low, high], or a bool, which every
+    constructor refuses for an int field."""
+    numpy_int = st.builds(lambda cast, v: cast(v), st.sampled_from((np.int64, np.uint32, np.int8)),
+                          st.integers(low, min(high, 127)))
+    return st.integers(low, high) | numpy_int | st.booleans()
+
+
+@st.composite
+def spec_arguments(draw):
+    """GeneratorSpec keyword arguments over every family: n <= 12, k <= 3,
+    Dirichlet rows, and a symmetric P scaled to largest |entry| 1 (of full
+    rank but for a rare draw), nonnegative where the family's means start
+    at 0; rho in the family's range, as a Python or numpy float."""
+    family = draw(st.sampled_from(list(Family)))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nonnegative = family in (Family.BERNOULLI, Family.POISSON, Family.UNIFORM)
+    p = rng.uniform(0.0 if nonnegative else -1.0, 1.0, (k, k))
+    p += p.T
+    p /= np.abs(p).max()
+    top = {Family.BERNOULLI: 1.0, Family.SIGNED: float(np.nextafter(1.0, 0.0))}.get(family, 1e300)
+    cast = draw(st.sampled_from((float, np.float64, np.float32)))
+    rho = draw(st.floats(5e-324, min(top, 1e38) if cast is np.float32 else top))
+    return {
+        "memberships": rng.dirichlet(np.ones(k), size=n),
+        "connectivity": p,
+        "rho": cast(rho),
+        "distribution": EdgeDistribution(family, sigma2=draw(st.floats(1e-3, 1e3)) if family is Family.NORMAL else None),
+        "sparsity": draw(st.none() | st.floats(0.0, 1.0)),
+        "seed": draw(json_int(0, 2**63 - 1)),
+    }
+
+
+def round_trip(x):
+    return type(x).from_dict(json.loads(json.dumps(x.to_dict(), allow_nan=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_arguments(), st.data())
+def test_every_spec_and_config_that_constructs_round_trips_through_json(arguments, data):
+    if isinstance(arguments["seed"], bool):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            GeneratorSpec(**arguments)
+        return
+    try:
+        spec = GeneratorSpec(**arguments)
+    except ValueError:
+        event("spec refused")
+        return
+    before = round_trip(spec)
+    assert before == spec
+    arguments["memberships"][...] = 0.5
+    arguments["connectivity"][...] = 0.5
+    assert spec == before
+    parameter = data.draw(st.sampled_from(["rho", "sparsity"]))
+    values = (spec.rho,) if parameter == "rho" else data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    config = dict(generator=spec, sweep_parameter=parameter, sweep_values=tuple(values),
+                  replications=data.draw(st.none() | json_int(1, 100)),
+                  estimate_counts=data.draw(st.sampled_from((True, False, np.True_, np.False_))),
+                  k_scan_max=data.draw(json_int(1, spec.n)), seed=data.draw(json_int(0, 2**63 - 1)),
+                  profile=data.draw(st.sampled_from(sorted(PROFILES))))
+    if any(isinstance(config[key], bool) for key in ("replications", "k_scan_max", "seed")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentConfig(**config)
+        return
+    config = ExperimentConfig(**config)
+    assert round_trip(config) == config
