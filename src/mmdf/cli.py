@@ -33,6 +33,7 @@ from .harness import (
     write_dataset_csv,
     write_json,
 )
+from .modularity import estimate_k
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -130,7 +131,7 @@ def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str |
 def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir: str) -> None:
     """Write the modularity-vs-k curve for one graph."""
     graph = load_edge_list(graph_path, labels_path=labels_path)
-    scan = detect_graph(graph, k_max=k_max).scan
+    scan = estimate_k(graph, k_max=k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "scan.csv", ((p.k, p.modularity.q if p.ok else None) for p in scan.curve), header=("k", "q"))

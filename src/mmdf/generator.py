@@ -89,17 +89,17 @@ class Family(str, Enum):
 
 
 # per family: the largest admissible rho and whether rho may equal it
-# (rho > 0 in every family), and the interval [lo, hi] every mean must
-# lie in. A family whose means start at 0 needs P >= 0 entrywise
+# (rho > 0 in every family), and the finite interval [lo, hi] every mean
+# must lie in. A family whose means start at 0 needs P >= 0 entrywise
 _RULES = {
-    Family.NORMAL: ((inf, False), (-inf, inf)),
+    Family.NORMAL: ((inf, False), (-float_info.max, float_info.max)),
     Family.BERNOULLI: ((1.0, True), (0.0, 1.0)),
-    Family.POISSON: ((inf, False), (0.0, inf)),
+    Family.POISSON: ((inf, False), (0.0, float_info.max)),
     # weights ~ uniform(0, 2 * mean), whose support must be finite
     Family.UNIFORM: ((inf, False), (0.0, float_info.max / 2.0)),
     # weights +-1
     Family.SIGNED: ((1.0, False), (-1.0, 1.0)),
-    Family.POINT_MASS: ((inf, False), (-inf, inf)),
+    Family.POINT_MASS: ((inf, False), (-float_info.max, float_info.max)),
 }
 
 
@@ -147,7 +147,7 @@ def check_connectivity(p: np.ndarray, distribution: EdgeDistribution) -> np.ndar
         raise ConnectivityError(f"expected square matrix, got shape {p.shape}")
     if not (p.size and np.isfinite(p).all()):
         raise ConnectivityError("connectivity matrix must be nonempty with finite entries")
-    if float(np.abs(p - p.T).max(initial=0.0)) > 1e-12:
+    if float(np.abs(0.5 * p - 0.5 * p.T).max(initial=0.0)) > 0.5e-12:  # halves cannot overflow
         raise ConnectivityError("connectivity matrix must be symmetric")
     sigma_k = float(np.linalg.svd(p, compute_uv=False)[-1])
     if sigma_k <= 1e-10:
@@ -232,17 +232,18 @@ class GeneratorSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the means rho * Pi P Pi', checked in blocks of rows
-        left = self.rho * m @ p
         _, (lo, hi) = _RULES[self.distribution.family]
-        for s in range(0, m.shape[0], _BLOCK_ROWS):
-            omega = left[s:s + _BLOCK_ROWS] @ m.T
-            bad = (omega < lo) | (omega > hi)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ValueError(
-                    f"mean {float(omega[i, j])!r} at entry ({s + i}, {j}) is outside the "
-                    f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean, inf or NaN, fails
+            left = self.rho * m @ p
+            for s in range(0, m.shape[0], _BLOCK_ROWS):
+                omega = left[s:s + _BLOCK_ROWS] @ m.T
+                bad = ~((lo <= omega) & (omega <= hi))
+                if bad.any():
+                    i, j = np.argwhere(bad)[0]
+                    raise ValueError(
+                        f"mean {float(omega[i, j])!r} at entry ({s + i}, {j}) is outside the "
+                        f"{self.distribution.family.value} family's domain [{lo}, {hi}]"
+                    )
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregates for one sweep value over its replicates.
+    """Aggregates for one sweep value over its replicates' records.
 
     failure_stages counts the failed fits at the true k by the stage that
-    failed. k_hat_counts counts the k the scan selected over the
-    successful fits, keyed by str(k), with scans that failed at every k
-    under "failed"; it is empty when the sweep does not scan.
+    failed. k_hat_counts counts the records' k_hat over the successful
+    fits, keyed by str(k), with scans that failed at every k under
+    "failed"; it is empty when the sweep does not scan.
     """
 
     value: float
@@ -162,31 +163,55 @@ class SweepReport:
         write_json(path, {"config": self.config, "cells": cells, "blas_threads": self.blas_threads})
 
 
-def _run_replicate(args) -> tuple[ErrorPair | None, str | None]:
-    """One protocol replicate; returns (errors, outcome). When the fit at
-    the true k fails, errors is None and outcome the failing stage;
-    otherwise outcome is the k the scan selected as a str, "failed" when
-    the scan failed at every k, or None when the sweep does not scan.
+@dataclass(frozen=True)
+class _Replicate:
+    """A replicate's outcome, kept small for the process pool: the errors
+    at the true k, or None and the stage where that fit failed; and the k
+    the scan selected, "failed" if it failed at every k, or None unscanned."""
+
+    errors: ErrorPair | None
+    failed_stage: str | None
+    k_hat: int | str | None
+
+
+def _run_replicate(spec: GeneratorSpec, estimate_counts: bool, k_scan_max: int, seed_words) -> _Replicate:
+    """One replicate of spec, on the RNG stream of seed_words, as its _Replicate record.
 
     One eigendecomposition serves the scan and the fit at the true k, which
     a scanning replicate reads off the scan instead of fitting it again.
     """
-    spec, seed_words, estimate_counts, k_scan_max = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
     graph, truth = sample_adjacency(spec, rng=rng)
     spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k)
-    scan = outcome = None
+    scan = k_hat = None
     if estimate_counts:
         try:
             scan = estimate_k(graph, k_max=k_scan_max, eigen=spectrum)
-            outcome = str(scan.best_k)
+            k_hat = scan.best_k
         except EstimationError:
-            outcome = "failed"
+            k_hat = "failed"
     try:
         report = scan.fit(spec.k) if scan is not None else dfsp(spectrum, spec.k)
     except EstimationError as exc:
-        return None, exc.stage
-    return membership_errors(report.memberships, truth.memberships), outcome
+        return _Replicate(None, exc.stage, k_hat)
+    return _Replicate(membership_errors(report.memberships, truth.memberships), None, k_hat)
+
+
+def _sweep_cell(value: float, true_k: int, records: list[_Replicate]) -> SweepCell:
+    """One sweep value's SweepCell from its replicates' records, in replicate order."""
+    ok = [r for r in records if r.errors is not None]
+    scans = [r.k_hat for r in ok if r.k_hat is not None]
+    k_hats = [k for k in scans if k != "failed"]
+    return SweepCell(
+        value=float(value),
+        mean_hamming=float(np.mean([r.errors.hamming for r in ok])) if ok else float("nan"),
+        mean_relative=float(np.mean([r.errors.relative for r in ok])) if ok else float("nan"),
+        accuracy=accuracy_rate(k_hats, true_k) if k_hats else None,
+        failures=len(records) - len(ok),
+        successes=len(ok),
+        failure_stages=dict(sorted(Counter(r.failed_stage for r in records if r.errors is None).items())),
+        k_hat_counts=dict(sorted(Counter(map(str, scans)).items())),
+    )
 
 
 def _pin_blas_threads(threads: int) -> None:
@@ -205,7 +230,7 @@ def _blas_threads() -> int | None:
 
 
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
-    """Execute the sweep protocol and aggregate per sweep value.
+    """Execute the sweep protocol; _sweep_cell aggregates each value's records.
 
     Deterministic given the config (including its seed) and the BLAS
     thread count per process: every replicate's RNG stream is derived
@@ -231,27 +256,9 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
             run = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_pin_blas_threads, initargs=(pinned,))).map
         for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
-            tasks = [
-                (spec, (config.seed, vi, r), config.estimate_counts, config.k_scan_max)
-                for r in range(config.replications)
-            ]
-            results = list(run(_run_replicate, tasks))
-            ok = [errors for errors, _ in results if errors is not None]
-            stages = Counter(outcome for errors, outcome in results if errors is None)
-            scans = [outcome for errors, outcome in results if errors is not None and outcome is not None]
-            k_hats = [int(k) for k in scans if k != "failed"]
-            cells.append(
-                SweepCell(
-                    value=float(value),
-                    mean_hamming=float(np.mean([e.hamming for e in ok])) if ok else float("nan"),
-                    mean_relative=float(np.mean([e.relative for e in ok])) if ok else float("nan"),
-                    accuracy=accuracy_rate(k_hats, spec.k) if k_hats else None,
-                    failures=len(results) - len(ok),
-                    successes=len(ok),
-                    failure_stages=dict(sorted(stages.items())),
-                    k_hat_counts=dict(sorted(Counter(scans).items())),
-                )
-            )
+            replicate = partial(_run_replicate, spec, config.estimate_counts, config.k_scan_max)
+            seeds = [(config.seed, vi, r) for r in range(config.replications)]
+            cells.append(_sweep_cell(value, spec.k, list(run(replicate, seeds))))
     return SweepReport(cells=tuple(cells), config=config.to_dict(), blas_threads=threads)
 
 

@@ -107,7 +107,7 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
             testing again what its construction checked. An exactly
             symmetric matrix is decomposed as given; an inexactly
             symmetric one within the tolerance is replaced by its
-            average 0.5 * (m + m.T) first.
+            average 0.5 * m + 0.5 * m.T first.
         k: number of eigenpairs, 1 <= k <= n.
 
     For n < 128, or when numpy's LAPACK lacks dsytrd, dstemr, dstedc and
@@ -136,9 +136,10 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
     if not validated:
         if not np.array_equal(m, m.T):
             _check_finite(m)
-            if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
-                raise ValueError("matrix is not symmetric within tolerance")
-            m = 0.5 * (m + m.T)
+            with np.errstate(over="ignore"):  # a difference beyond float64 is asymmetric
+                if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * float(np.abs(m).max()):
+                    raise ValueError("matrix is not symmetric within tolerance")
+            m = 0.5 * m + 0.5 * m.T  # m + m.T may overflow where this does not
         peak = max(float(m.max()), -float(m.min()))
         _check_finite(peak)
 

@@ -6,7 +6,7 @@ from math import inf, nan
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from mmdf.generator import (
@@ -85,8 +85,29 @@ class TestCheckConnectivity:
         bad[0, 1] = 0.7
         with pytest.raises(ConnectivityError, match="must be symmetric"):
             check_connectivity(bad, EdgeDistribution(Family.BERNOULLI))
+        # entries whose difference overflows float64, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConnectivityError, match="^connectivity matrix must be symmetric$"):
+                check_connectivity(np.array([[1e308, -1e308], [1e308, 1.0]]), EdgeDistribution(Family.NORMAL, 1.0))
         with pytest.raises(ConnectivityError, match="expected square matrix"):
             check_connectivity(P_NONNEG[:2], EdgeDistribution(Family.BERNOULLI))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(-3e-12, 3e-12))
+    @example(1e308, -1e308, 0.0)
+    def test_symmetric_exactly_when_the_entries_differ_by_at_most_1e_12(self, a, b, d):
+        # a Python float difference is inf where it overflows, and no warning
+        for other in (b, a + d):
+            if abs(other) == inf:
+                continue
+            try:
+                check_connectivity(np.array([[1.0, a], [other, 1.0]]), EdgeDistribution(Family.NORMAL, 1.0))
+                refused = False
+            except ConnectivityError as exc:
+                refused = str(exc) == "connectivity matrix must be symmetric"
+            assert refused == (abs(a - other) > 1e-12)
 
     def test_rank_deficient_rejected(self):
         bad = np.ones((3, 3))
@@ -137,12 +158,12 @@ class TestRhoRanges:
 # largest admissible rho, whether rho may equal it, and the interval
 # [lo, hi] every mean must lie in
 FAMILY_RULES = {
-    Family.NORMAL: (inf, False, -inf, inf),
+    Family.NORMAL: (inf, False, -1.7976931348623157e308, 1.7976931348623157e308),
     Family.BERNOULLI: (1.0, True, 0.0, 1.0),
-    Family.POISSON: (inf, False, 0.0, inf),
+    Family.POISSON: (inf, False, 0.0, 1.7976931348623157e308),
     Family.UNIFORM: (inf, False, 0.0, 8.988465674311579e307),
     Family.SIGNED: (1.0, False, -1.0, 1.0),
-    Family.POINT_MASS: (inf, False, -inf, inf),
+    Family.POINT_MASS: (inf, False, -1.7976931348623157e308, 1.7976931348623157e308),
 }
 
 
@@ -222,6 +243,18 @@ class TestFamilyRules:
                        f"{family.value} family's domain [{lo}, {hi}]")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 two_node_spec(family, rho, p00, ROW_SUM)
+
+    @pytest.mark.parametrize("family", [f for f in Family if FAMILY_RULES[f][0] == inf])
+    def test_overflowing_means_are_refused_naming_their_entry(self, family):
+        # rho * ROW_SUM overflows to inf, and inf * 0 is NaN, so every mean
+        # is NaN; it must be refused here, without a numpy warning, and not
+        # by every draw from the spec later
+        _, _, lo, hi = FAMILY_RULES[family]
+        message = f"mean nan at entry (0, 0) is outside the {family.value} family's domain [{lo}, {hi}]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                two_node_spec(family, FLOAT_MAX, 1.0, ROW_SUM)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_nonnegative_connectivity_exactly_where_means_start_at_zero(self, family):

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import event, given, settings, strategies as st
 import mmdf
 from mmdf.cli import main
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
-from mmdf.harness import PROFILES, ExperimentConfig, _pin_blas_threads, run_simulation
+from mmdf.harness import (PROFILES, ExperimentConfig, SweepCell, _pin_blas_threads, _Replicate, _sweep_cell,
+                          run_simulation)
+from mmdf.metrics import ErrorPair, accuracy_rate
 
 from conftest import shuffled_copies, standard_spec
 
@@ -233,6 +237,77 @@ class TestRunSimulation:
         # the stage and k-hat counts go to the JSON only
         assert payload["cells"][0]["failure_stages"] == {} and payload["cells"][0]["k_hat_counts"] == {}
         assert "stage" not in lines[0] and "k_hat" not in lines[0]
+
+
+def tuple_decoded_cell(value, true_k, results):
+    """Reference: the cell as run_simulation decoded it from (errors,
+    outcome) tuples, outcome being the failing stage when errors is None
+    and otherwise the scan's str(k), "failed" or None."""
+    ok = [errors for errors, _ in results if errors is not None]
+    stages = Counter(outcome for errors, outcome in results if errors is None)
+    scans = [outcome for errors, outcome in results if errors is not None and outcome is not None]
+    k_hats = [int(k) for k in scans if k != "failed"]
+    return SweepCell(
+        value=float(value),
+        mean_hamming=float(np.mean([e.hamming for e in ok])) if ok else float("nan"),
+        mean_relative=float(np.mean([e.relative for e in ok])) if ok else float("nan"),
+        accuracy=accuracy_rate(k_hats, true_k) if k_hats else None,
+        failures=len(results) - len(ok),
+        successes=len(ok),
+        failure_stages=dict(sorted(stages.items())),
+        k_hat_counts=dict(sorted(Counter(scans).items())),
+    )
+
+
+def as_tuple(record):
+    if record.errors is None:
+        return None, record.failed_stage
+    return record.errors, None if record.k_hat is None else str(record.k_hat)
+
+
+errors_pairs = st.builds(ErrorPair, st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.just((0, 1, 2)))
+stages = st.sampled_from(["eigendecomposition", "vertex-hunting", "inversion"]) | st.text(min_size=1)
+replicate_records = st.builds(
+    lambda fit, k_hat: _Replicate(fit, None, k_hat) if isinstance(fit, ErrorPair) else _Replicate(None, fit, k_hat),
+    errors_pairs | stages,
+    st.none() | st.just("failed") | st.integers(1, 12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False), st.integers(1, 12), st.lists(replicate_records, max_size=12))
+def test_the_cell_builder_matches_the_tuple_decoding(value, true_k, records):
+    built = _sweep_cell(value, true_k, records)
+    expected = tuple_decoded_cell(value, true_k, [as_tuple(r) for r in records])
+    # a cell without a successful fit has NaN means, which compare unequal
+    means = ("mean_hamming", "mean_relative")
+    for name in means:
+        a, b = getattr(built, name), getattr(expected, name)
+        assert a == b or math.isnan(a) and math.isnan(b)
+    zeroed = dict.fromkeys(means, 0.0)
+    assert dataclasses.replace(built, **zeroed) == dataclasses.replace(expected, **zeroed)
+
+
+STORED_SWEEP = Path(__file__).parent / "data" / "sweep"
+
+
+def test_a_seeded_sweep_reproduces_its_stored_files(tmp_path):
+    # n = 40 takes the full eigh, whose stored output was the same on one
+    # BLAS thread and on two; rho = 0.01 fails at every replicate, so that
+    # cell counts no scan, and 0.05 at five of six
+    config = ExperimentConfig(generator=standard_spec(Family.BERNOULLI, rho=0.5, n=40, pure=8),
+                              sweep_values=(0.01, 0.05, 0.15, 0.9), replications=6, estimate_counts=True,
+                              k_scan_max=4, seed=0, profile="ci")
+    stored = json.loads((STORED_SWEEP / "sweep.json").read_text())
+    counts = [(c["failures"], sum(c["k_hat_counts"].values())) for c in stored["cells"]]
+    assert counts == [(6, 0), (5, 1), (0, 6), (0, 6)]
+    report = run_simulation(config)
+    report.write_csv(tmp_path / "sweep.csv")
+    report.write_json(tmp_path / "sweep.json")
+    assert (tmp_path / "sweep.csv").read_bytes() == (STORED_SWEEP / "sweep.csv").read_bytes()
+    # blas_threads records the machine, so only the config and cells are compared
+    written = json.loads((tmp_path / "sweep.json").read_text())
+    assert (written["config"], written["cells"]) == (stored["config"], stored["cells"])
 
 
 def write_config(tmp_path, family=Family.POINT_MASS, values=(2.0,)):

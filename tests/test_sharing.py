@@ -132,10 +132,10 @@ def test_detect_rejects_counts_before_decomposing(monkeypatch, graph):
 @pytest.mark.parametrize("estimate_counts,expected", [(True, [(60, 5)]), (False, [(60, 3)])])
 def test_replicate_decomposes_once(calls, estimate_counts, expected):
     spec = standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12)
-    errors, outcome = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
+    record = _run_replicate(spec, estimate_counts, 5, (1, 0, 0))
     # a fit, and with the scan its selected k
-    assert errors is not None
-    assert (outcome is not None and outcome.isdigit()) == estimate_counts
+    assert record.errors is not None and record.failed_stage is None
+    assert isinstance(record.k_hat, int) == estimate_counts
     assert decomposed_sizes(calls) == expected
     assert len(calls["sign_split"]) == (1 if estimate_counts else 0)
 
@@ -180,8 +180,7 @@ def test_detect_fixed_k_fits_once(fits, graph):
 def test_replicate_fits_each_count_once(fits, estimate_counts, expected):
     # the true k (3) lies inside a k_max=5 scan, so its fit is the scan's
     spec = standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12)
-    errors, _ = _run_replicate((spec, (1, 0, 0), estimate_counts, 5))
-    assert errors is not None
+    assert _run_replicate(spec, estimate_counts, 5, (1, 0, 0)).errors is not None
     assert len(fits["dfsp"]) == expected
     assert [k for _, k in fits["dfsp"]].count(3) == 1
 

@@ -75,6 +75,13 @@ class TestTopKEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             top_k_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]), 1)
+        # entries whose difference overflows float64, without a numpy warning
+        m = np.zeros((3, 3))
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+                top_k_eigen(m, 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -96,13 +103,19 @@ class TestTopKEigen:
 
     def test_inexact_input_within_tolerance_is_averaged(self, rng):
         m = rng.normal(size=(9, 9))
-        m = m + m.T
+        m = 0.01 * (m + m.T) + np.diag(np.linspace(1.6, -0.9, 9))
         m[0, 1] += 1e-12
         assert not np.array_equal(m, m.T)
-        res = top_k_eigen(m, 4)
-        avg = top_k_eigen(0.5 * (m + m.T), 4)
-        assert res.values.tobytes() == avg.values.tobytes()
-        assert res.vectors.tobytes() == avg.vectors.tobytes()
+        # the average 0.5 * (m + m.T), taken at 2**-j times the scale, where
+        # it cannot overflow; at 2**1023, m + m.T overflows on the diagonal
+        # while every eigenvalue is finite
+        for j in (0, -1000, 1023):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = top_k_eigen(np.ldexp(m, j), 4)
+            avg = top_k_eigen(np.ldexp(0.5 * (m + m.T), j), 4)
+            assert res.values.tobytes() == avg.values.tobytes()
+            assert res.vectors.tobytes() == avg.vectors.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-200, 200))
