@@ -16,7 +16,7 @@ from .generator import (
     population_adjacency,
     sample_adjacency,
 )
-from .graph import GroundTruth, WeightedGraph, load_edge_list, write_edge_list
+from .graph import WeightedGraph, load_edge_list, write_edge_list
 from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import KScanResult, ModularityValue, estimate_k, fuzzy_weighted_modularity
 from .spectral import TopKEigen, successive_projection, top_k_eigen
@@ -35,7 +35,6 @@ __all__ = [
     "check_connectivity",
     "population_adjacency",
     "sample_adjacency",
-    "GroundTruth",
     "WeightedGraph",
     "load_edge_list",
     "write_edge_list",

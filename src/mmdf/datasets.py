@@ -12,9 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .graph import GroundTruth, WeightedGraph, load_edge_list
+from .graph import WeightedGraph, load_edge_list
 
 __all__ = [
     "DatasetInfo",
@@ -56,7 +54,7 @@ DATASETS: dict[str, DatasetInfo] = {
 class Dataset:
     info: DatasetInfo
     graph: WeightedGraph
-    truth: GroundTruth | None
+    truth: tuple[int, ...] | None  # curated community index per node
 
 
 # resolved once, at import; $MMDF_DATA_DIR is still read at every call
@@ -101,12 +99,9 @@ def load_dataset(name: str, cache_dir: Path | str | None = None) -> Dataset:
     graph = load_edge_list(edges_path, labels_path=labels_path if labels_path and labels_path.exists() else None)
     truth = None
     if truth_path is not None and truth_path.exists():
-        labels = np.array(
-            [int(ln) for ln in truth_path.read_text().split()], dtype=int
-        )
-        if len(labels) != graph.n:
-            raise ValueError(f"{truth_path} has {len(labels)} labels for {graph.n} nodes")
-        truth = GroundTruth(labels=labels)
+        truth = tuple(int(ln) for ln in truth_path.read_text().split())
+        if len(truth) != graph.n:
+            raise ValueError(f"{truth_path} has {len(truth)} labels for {graph.n} nodes")
     return Dataset(info=info, graph=graph, truth=truth)
 
 

@@ -22,7 +22,7 @@ from sys import float_info
 import numpy as np
 
 from .dfsp import _ROW_SUM_TOL, validate_memberships
-from .graph import _BLOCK_ROWS, GroundTruth, WeightedGraph, _equal_by_value
+from .graph import _BLOCK_ROWS, WeightedGraph, _equal_by_value
 
 __all__ = [
     "Family",
@@ -345,8 +345,9 @@ def _draw_weights(rng: np.random.Generator, means: np.ndarray, distribution: Edg
 def sample_adjacency(
     spec: GeneratorSpec,
     rng: np.random.Generator | None = None,
-) -> tuple[WeightedGraph, GroundTruth]:
-    """Draw one network from the generator.
+) -> WeightedGraph:
+    """Draw one network from the generator, as its WeightedGraph; the
+    memberships it is scored against are spec.memberships.
 
     Upper-triangle weights are sampled independently with the population
     means, mirrored to the lower triangle, and the diagonal is zeroed.
@@ -398,4 +399,4 @@ def sample_adjacency(
                 DisconnectedSampleWarning,
                 stacklevel=2,
             )
-    return graph, GroundTruth(memberships=spec.memberships)
+    return graph

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "WeightedGraph",
-    "GroundTruth",
     "ParseError",
     "load_edge_list",
     "write_edge_list",
@@ -142,38 +141,6 @@ def sign_split(g: WeightedGraph, ms: Sequence[np.ndarray] = ()) -> tuple[np.ndar
         for m, out in zip(ms, products):
             np.matmul(parts, m, out=out[:, rows])
     return degrees, products
-
-
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """Known community structure for a graph, when available.
-
-    labels: hard community index per node (0-based), or None.
-    memberships: (n, K) row-stochastic soft assignment, or None.
-    Either may be given without the other; dfsp.harden turns
-    memberships into labels.
-    """
-
-    labels: np.ndarray | None = None
-    memberships: np.ndarray | None = None
-
-    __eq__ = _equal_by_value
-
-    def __post_init__(self):
-        # read-only copies, so the caller's arrays stay theirs
-        for name, dtype in (("labels", int), ("memberships", float)):
-            if getattr(self, name) is not None:
-                value = np.array(getattr(self, name), dtype=dtype)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
-
-    @property
-    def k(self) -> int | None:
-        if self.memberships is not None:
-            return self.memberships.shape[1]
-        if self.labels is not None:
-            return int(self.labels.max()) + 1
-        return None
 
 
 def load_edge_list(

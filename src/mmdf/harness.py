@@ -181,7 +181,7 @@ def _run_replicate(spec: GeneratorSpec, estimate_counts: bool, k_scan_max: int, 
     a scanning replicate reads off the scan instead of fitting it again.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
-    graph, truth = sample_adjacency(spec, rng=rng)
+    graph = sample_adjacency(spec, rng=rng)
     spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k)
     scan = k_hat = None
     if estimate_counts:
@@ -194,7 +194,7 @@ def _run_replicate(spec: GeneratorSpec, estimate_counts: bool, k_scan_max: int, 
         report = scan.fit(spec.k) if scan is not None else dfsp(spectrum, spec.k)
     except EstimationError as exc:
         return _Replicate(None, exc.stage, k_hat)
-    return _Replicate(membership_errors(report.memberships, truth.memberships), None, k_hat)
+    return _Replicate(membership_errors(report.memberships, spec.memberships), None, k_hat)
 
 
 def _sweep_cell(value: float, true_k: int, records: list[_Replicate]) -> SweepCell:
@@ -305,11 +305,11 @@ def run_dataset_suite(
             continue
         mislabels = notice = None
         true_k = ds.info.true_k
-        if true_k and ds.truth is not None and ds.truth.labels is not None:
+        if true_k and ds.truth is not None:
             try:
                 report = (found.scan.fit(true_k) if true_k <= len(found.scan.eigen.values)
                           else dfsp(top_k_eigen(ds.graph, true_k), true_k))
-                mislabels = mislabel_count(harden(report.memberships), ds.truth.labels)
+                mislabels = mislabel_count(harden(report.memberships), ds.truth)
             except EstimationError as exc:
                 notice = f"no fit at the curated k={true_k}: {exc.stage}: {exc}"
         rows.append(DatasetRow(name, ds.graph.n, found.best_k, found.q, found.eta_mixed,

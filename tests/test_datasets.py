@@ -33,13 +33,13 @@ def test_gahuku_labels_and_truth():
     assert ds.graph.node_labels[0] == "GAVEV"
     assert ds.graph.node_labels[-1] == "GAMA"
     assert ds.truth is not None
-    assert ds.truth.k == 3
-    assert len(ds.truth.labels) == 16
+    assert max(ds.truth) + 1 == 3
+    assert len(ds.truth) == 16
 
 
 def test_karate_truth_sizes():
     ds = load_dataset("karate")
-    counts = np.bincount(ds.truth.labels)
+    counts = np.bincount(ds.truth)
     assert counts.sum() == 34
     assert ds.info.true_k == 2
 

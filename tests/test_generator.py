@@ -356,14 +356,14 @@ class TestSampling:
         for seed in range(3):
             spec = standard_spec(family, rho=FAMILY_RHO[family], n=60, pure=12,
                                  seed=seed, sparsity=sparsity)
-            graph, _ = sample_adjacency(spec)
+            graph = sample_adjacency(spec)
             expected = triu_sample_oracle(spec, np.random.default_rng(seed))
             assert graph.weights.tobytes() == expected.tobytes()
         for n in TILE_EDGE_ORDERS:
             spec = spec_of_order(family, n, seed=n, sparsity=sparsity)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DisconnectedSampleWarning)
-                graph, _ = sample_adjacency(spec)
+                graph = sample_adjacency(spec)
             expected = triu_sample_oracle(spec, np.random.default_rng(n))
             assert graph.weights.tobytes() == expected.tobytes()
 
@@ -375,7 +375,7 @@ class TestSampling:
         for seed, (n, pure) in enumerate(((200, 40), (800, 200))):
             spec = standard_spec(family, rho=FAMILY_RHO[family], n=n, pure=pure,
                                  seed=seed, sparsity=sparsity)
-            graph, _ = sample_adjacency(spec)
+            graph = sample_adjacency(spec)
             expected = triu_sample_oracle(spec, np.random.default_rng(seed))
             assert graph.weights.tobytes() == expected.tobytes()
 
@@ -389,7 +389,7 @@ class TestSampling:
         spec = GeneratorSpec(memberships=m, connectivity=check_connectivity(P_NONNEG[:3, :3], dist),
                              rho=1.0, distribution=dist)
         rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
-        graph, _ = sample_adjacency(spec, rng=rng)
+        graph = sample_adjacency(spec, rng=rng)
         expected = triu_sample_oracle(spec, oracle_rng)
         iu = np.triu_indices(n, 1)
         peak = np.abs(population_adjacency(spec)).max()
@@ -431,7 +431,7 @@ class TestSampling:
         # what WeightedGraph no longer tests on a sampled matrix
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedSampleWarning)
-            graph, _ = sample_adjacency(spec_of_order(family, n, seed=seed, sparsity=sparsity))
+            graph = sample_adjacency(spec_of_order(family, n, seed=seed, sparsity=sparsity))
         w = graph.weights
         assert w.shape == (n, n)
         assert w.tobytes() == np.ascontiguousarray(w.T).tobytes()
@@ -440,7 +440,7 @@ class TestSampling:
 
     def test_uniform_mean_up_to_half_the_float64_limit_samples_finite_weights(self):
         spec = standard_spec(Family.UNIFORM, rho=np.finfo(float).max / 2.0, n=30, pure=6)
-        graph, _ = sample_adjacency(spec)
+        graph = sample_adjacency(spec)
         assert np.isfinite(graph.weights).all() and graph.weights.max() > 1e307
 
     def test_uniform_mean_beyond_half_the_float64_limit_rejected(self):
@@ -450,7 +450,7 @@ class TestSampling:
 
     def test_point_mass_reproduces_population(self):
         spec = standard_spec(Family.POINT_MASS, rho=3.0, n=40, pure=8)
-        graph, _ = sample_adjacency(spec)
+        graph = sample_adjacency(spec)
         omega = population_adjacency(spec)
         off = ~np.eye(40, dtype=bool)
         assert np.allclose(graph.weights[off], omega[off])
@@ -459,7 +459,7 @@ class TestSampling:
     def test_point_mass_near_the_float64_limit(self):
         # the averaged means stay finite where mean + mean.T would overflow
         spec = standard_spec(Family.POINT_MASS, rho=1e308, n=40, pure=8)
-        graph, _ = sample_adjacency(spec)
+        graph = sample_adjacency(spec)
         omega = population_adjacency(spec)
         off = ~np.eye(40, dtype=bool)
         assert np.isfinite(omega).all() and np.abs(omega).max() > 1e307
@@ -467,8 +467,8 @@ class TestSampling:
 
     def test_seed_determinism(self):
         spec = standard_spec(Family.NORMAL, rho=5.0, n=30, pure=6, seed=99)
-        g1, _ = sample_adjacency(spec)
-        g2, _ = sample_adjacency(spec)
+        g1 = sample_adjacency(spec)
+        g2 = sample_adjacency(spec)
         assert np.array_equal(g1.weights, g2.weights)
 
     def test_bernoulli_constant_mean_clt(self):
@@ -485,7 +485,7 @@ class TestSampling:
         rng = np.random.default_rng(0)
         means = []
         for _ in range(200):
-            g, _ = sample_adjacency(spec, rng=rng)
+            g = sample_adjacency(spec, rng=rng)
             means.append(g.weights[np.triu_indices(n, 1)].mean())
         n_pairs = n * (n - 1) / 2
         tol = 4.0 * np.sqrt(0.25 / (n_pairs * 200))
@@ -500,7 +500,7 @@ class TestSampling:
         reps = 200
         acc = np.zeros_like(omega)
         for _ in range(reps):
-            g, _ = sample_adjacency(spec, rng=rng)
+            g = sample_adjacency(spec, rng=rng)
             acc += g.weights
         mean = acc / reps
         iu = np.triu_indices(40, 1)
@@ -525,7 +525,7 @@ class TestSampling:
         omega = population_adjacency(spec)
         rng = np.random.default_rng(43)
         reps = 400
-        samples = np.stack([sample_adjacency(spec, rng=rng)[0].weights for _ in range(reps)])
+        samples = np.stack([sample_adjacency(spec, rng=rng).weights for _ in range(reps)])
         iu = np.triu_indices(30, 1)
         emp_var = samples.var(axis=0)[iu]
         theory = (omega**2 / 3.0 if family is Family.UNIFORM else 1 - omega**2)[iu]
@@ -547,14 +547,14 @@ class TestSparsityMask:
     def test_zero_keeps_nothing(self):
         spec = standard_spec(Family.NORMAL, rho=5.0, n=20, pure=4, sparsity=0.0)
         with pytest.warns(DisconnectedSampleWarning, match="left 20 components"):
-            g, _ = sample_adjacency(spec)
+            g = sample_adjacency(spec)
         assert np.all(g.weights == 0)
 
     def test_one_matches_unmasked_sample(self):
         base = standard_spec(Family.NORMAL, rho=5.0, n=20, pure=4, seed=3)
         masked = standard_spec(Family.NORMAL, rho=5.0, n=20, pure=4, seed=3, sparsity=1.0)
-        g_base, _ = sample_adjacency(base)
-        g_masked, _ = sample_adjacency(masked)
+        g_base = sample_adjacency(base)
+        g_masked = sample_adjacency(masked)
         assert np.array_equal(g_base.weights, g_masked.weights)
 
     @settings(max_examples=80, deadline=None)
@@ -575,7 +575,7 @@ class TestSparsityMask:
         p = 0.6
         n = 60
         spec = standard_spec(Family.NORMAL, rho=5.0, n=n, pure=12, seed=8, sparsity=p)
-        g, _ = sample_adjacency(spec)
+        g = sample_adjacency(spec)
         iu = np.triu_indices(n, 1)
         frac = np.count_nonzero(g.weights[iu]) / len(g.weights[iu])
         n_pairs = len(g.weights[iu])

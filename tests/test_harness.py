@@ -547,6 +547,18 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == ["error: labels must be nonnegative community indices, got -1"]
 
+    @pytest.mark.parametrize("last", [2, 10**7])
+    def test_datasets_curated_label_values_do_not_size_the_count(self, tmp_path, last):
+        # only which nodes share a label counts, not its value: a confusion
+        # matrix over every label up to 10^7 would not fit in memory
+        (tmp_path / "polblogs.edges").write_text("1 2 2\n3 4 2\n2 3 0.5\n")
+        (tmp_path / "polblogs.truth").write_text(f"0\n0\n1\n{last}\n")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["datasets", "--only", "polblogs", "--cache", str(tmp_path),
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "datasets.csv").read_text().splitlines()[1].split(",")[6] == "2"
+
     @pytest.mark.parametrize("k_max", [8, 1], ids=["scanned", "beyond-scan"])
     def test_datasets_no_fit_at_the_curated_count_is_a_notice(self, tmp_path, k_max):
         # three disjoint triangles: |λ| = 2, 2, 2, so the curated k = 2 is a tie,

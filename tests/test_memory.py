@@ -52,7 +52,7 @@ def test_sampling_holds_one_matrix_and_a_block(spec):
     # the result and one block of 64 rows: its means, their transposed
     # half and its draws, 0.16 W each at n = 400. Whole-triangle means
     # and draws (0.5 W each) would exceed this
-    (graph, _), peak = traced_peak(lambda: sample_adjacency(spec))
+    graph, peak = traced_peak(lambda: sample_adjacency(spec))
     assert graph.weights.nbytes == W
     assert peak <= 1.6 * W
 
@@ -60,7 +60,7 @@ def test_sampling_holds_one_matrix_and_a_block(spec):
 def test_scan_forms_no_dense_part(spec):
     # this counts the one sign split that scores every k; a dense
     # positive or negative part alone would be W
-    graph, _ = sample_adjacency(spec)
+    graph = sample_adjacency(spec)
     spectrum = top_k_eigen(graph.weights, 5)
     scan, peak = traced_peak(lambda: estimate_k(graph, k_max=5, eigen=spectrum))
     assert all(p.ok for p in scan.curve)

@@ -40,6 +40,15 @@ def random_cost(seed: int, k: int, tied: bool) -> np.ndarray:
     return rng.normal(size=(k, k))
 
 
+def dense_mislabel_count(estimate: np.ndarray, truth: np.ndarray) -> int:
+    """Oracle: the count over a square confusion matrix of every label
+    from 0 to the largest, present or not."""
+    k = int(max(estimate.max(initial=0), truth.max(initial=0))) + 1
+    confusion = np.zeros((k, k))
+    np.add.at(confusion, (estimate, truth), 1)
+    return int(len(estimate) + _min_cost_permutation(-confusion)[0])
+
+
 class TestAssignmentSolver:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
@@ -56,6 +65,20 @@ class TestAssignmentSolver:
         cost = random_cost(seed, k, tied)
         rows, cols = linear_sum_assignment(cost)
         assert _min_cost_permutation(cost)[0] == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.booleans())
+    def test_rows_go_to_distinct_columns_of_a_wider_matrix(self, seed, r, extra, tied):
+        cost = random_cost(seed, r + extra, tied)[:r]
+        total, perm = _min_cost_permutation(cost)
+        assert len(set(perm)) == r
+        assert total == sum(cost[a, perm[a]] for a in range(r))
+        rows, cols = linear_sum_assignment(cost)
+        assert total == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError, match="3 rows cannot go to distinct columns of 2"):
+            _min_cost_permutation(np.zeros((3, 2)))
 
     def test_empty_and_single(self):
         assert _min_cost_permutation(np.zeros((0, 0))) == (0.0, ())
@@ -136,6 +159,14 @@ class TestMembershipErrors:
             assert err.hamming == pytest.approx(0.0, abs=1e-12)
             assert err.relative == pytest.approx(0.0, abs=1e-12)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            membership_errors(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_zero_norm_truth_rejected(self):
+        with pytest.raises(ValueError, match="zero norm"):
+            membership_errors(np.full((2, 2), 0.5), np.zeros((2, 2)))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             membership_errors(np.ones((3, 2)) / 2, np.ones((4, 2)) / 2)
@@ -177,8 +208,16 @@ class TestMislabelCount:
         )
         assert mislabel_count(est, truth) == best
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 12), min_size=n, max_size=n),
+        st.lists(st.integers(0, 12), min_size=n, max_size=n))))
+    def test_matches_dense_confusion_oracle(self, case):
+        est, truth = (np.array(x, dtype=int) for x in case)
+        assert mislabel_count(est, truth) == dense_mislabel_count(est, truth)
+
     def test_negative_label_rejected(self):
-        # np.add.at would wrap -1 to the last community
+        # labels are community indices; a negative one is malformed input
         for est, truth in (([0, 0, 1], [0, 0, -1]), ([0, -2, 1], [0, 1, 1])):
             with pytest.raises(ValueError, match="got -"):
                 mislabel_count(np.array(est), np.array(truth))
@@ -213,6 +252,10 @@ class TestMixednessIndices:
         idx = mixedness_indices(np.full((5, 2), 0.5))
         assert idx.eta_mixed == 1.0
         assert idx.eta_pure == 0.0
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            mixedness_indices(np.zeros((0, 2)))
 
     def test_thresholds_are_inclusive(self):
         m = np.array([[0.7, 0.3], [0.9, 0.1], [0.8, 0.2]])

@@ -360,7 +360,7 @@ class TestEstimateK:
 
     def test_recovers_planted_k_on_generated_network(self):
         spec = standard_spec(Family.BERNOULLI, rho=0.9, n=120, pure=24, seed=21)
-        graph, _ = sample_adjacency(spec)
+        graph = sample_adjacency(spec)
         scan = estimate_k(graph, k_max=6)
         assert scan.best_k == 3
 

@@ -75,7 +75,7 @@ def decomposed_sizes(calls):
 @pytest.fixture
 def graph():
     # sampled per test; a graph caches nothing
-    g, _ = sample_adjacency(standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12, seed=3))
+    g = sample_adjacency(standard_spec(Family.BERNOULLI, rho=0.9, n=60, pure=12, seed=3))
     return g
 
 

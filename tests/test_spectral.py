@@ -420,7 +420,7 @@ def test_a_graph_decomposes_bitwise_as_its_weights(n):
     from conftest import standard_spec
 
     assert 60 < spectral._PARTIAL_MIN_N <= 200
-    graph, _ = sample_adjacency(standard_spec(Family.SIGNED, rho=0.5, n=n, pure=n // 5, seed=n))
+    graph = sample_adjacency(standard_spec(Family.SIGNED, rho=0.5, n=n, pure=n // 5, seed=n))
     for k in (1, 5):
         of_graph, of_weights = top_k_eigen(graph, k), top_k_eigen(graph.weights, k)
         assert of_graph.vectors.tobytes() == of_weights.vectors.tobytes()
@@ -435,7 +435,7 @@ def test_a_graph_outside_the_safe_range_decomposes_bitwise_as_its_weights(scale)
     from mmdf.generator import Family, sample_adjacency
     from conftest import standard_spec
 
-    sampled, _ = sample_adjacency(standard_spec(Family.NORMAL, rho=5.0, n=200, pure=40, seed=3))
+    sampled = sample_adjacency(standard_spec(Family.NORMAL, rho=5.0, n=200, pure=40, seed=3))
     graph = WeightedGraph(scale * sampled.weights)
     assert not spectral._SAFE_PEAK[0] <= graph.peak <= spectral._SAFE_PEAK[1]
     of_graph, of_weights = top_k_eigen(graph, 4), top_k_eigen(graph.weights, 4)
