@@ -21,7 +21,7 @@ import click
 
 from . import __version__
 from .datasets import DATASETS, available_datasets
-from .dfsp import EstimationError
+from .dfsp import EstimationError, harden
 from .graph import load_edge_list
 from .harness import (
     ExperimentConfig,
@@ -33,6 +33,7 @@ from .harness import (
     write_dataset_csv,
     write_json,
 )
+from .metrics import mixedness_indices
 from .modularity import estimate_k
 
 EXIT_CONFIG = 2
@@ -102,24 +103,29 @@ def simulate(config_path: str, seed: int | None, out_dir: str, profile: str | No
 def detect(graph_path: str, k: int | None, k_max: int | None, labels_path: str | None, out_dir: str) -> None:
     """Estimate memberships for one edge-list graph."""
     graph = load_edge_list(graph_path, labels_path=labels_path)
-    report = detect_graph(graph, k=k, k_max=k_max)
+    best, _ = detect_graph(graph, k=k, k_max=k_max)
+    fit = best.report
+    eta = mixedness_indices(fit.memberships)
+    # the top k + 1 magnitudes (k at k = n); the gap is |lambda_k| - |lambda_{k+1}|
+    nxt = fit.eigen.next_magnitude
+    mags = [float(abs(v)) for v in fit.eigen.values] + ([nxt] if best.k < graph.n else [])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "memberships.csv", report.memberships.tolist())
-    write_csv(out / "labels.csv", report.labels[:, None].tolist())
+    write_csv(out / "memberships.csv", fit.memberships.tolist())
+    write_csv(out / "labels.csv", harden(fit.memberships)[:, None].tolist())
     write_json(out / "detect.json", {
-        "k": report.best_k,
-        "q": report.q,
-        "eta_mixed": report.eta_mixed,
-        "eta_pure": report.eta_pure,
-        "eigenvalue_magnitudes": list(report.eigenvalue_magnitudes),
-        "spectral_gap": report.spectral_gap,
-        "vertex_indices": report.fit.vertex_indices.tolist(),
-        "clipped_rows": report.fit.clipped_rows,
-        "degenerate_rows": report.fit.degenerate_rows,
-        "corner_condition": report.fit.corner_condition,
+        "k": best.k,
+        "q": best.modularity.q,
+        "eta_mixed": eta.eta_mixed,
+        "eta_pure": eta.eta_pure,
+        "eigenvalue_magnitudes": mags,
+        "spectral_gap": mags[best.k - 1] - nxt,
+        "vertex_indices": fit.vertex_indices.tolist(),
+        "clipped_rows": fit.clipped_rows,
+        "degenerate_rows": fit.degenerate_rows,
+        "corner_condition": fit.corner_condition,
     })
-    click.echo(f"k={report.best_k} q={report.q:.6f} (outputs in {out})")
+    click.echo(f"k={best.k} q={best.modularity.q:.6f} (outputs in {out})")
 
 
 @main.command(name="scan-k")
@@ -136,7 +142,7 @@ def scan_k(graph_path: str, k_max: int | None, labels_path: str | None, out_dir:
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "scan.csv", ((p.k, p.modularity.q if p.ok else None) for p in scan.curve), header=("k", "q"))
     failures = {p.k: p.failure for p in scan.curve if not p.ok}
-    write_json(out / "scan.json", {"best_k": scan.best_k, "k_max": scan.k_max, "failures": failures})
+    write_json(out / "scan.json", {"best_k": scan.best_k, "k_max": len(scan.curve), "failures": failures})
     click.echo(f"best_k={scan.best_k} (outputs in {out})")
 
 

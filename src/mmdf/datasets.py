@@ -34,19 +34,17 @@ class DatasetInfo:
     name: str
     bundled: bool
     true_k: int | None = None  # community count, when the curators give one
-    has_labels: bool = False   # per-node ground-truth communities
-    named_nodes: bool = False  # ships a node roster sidecar
 
 
 DATASETS: dict[str, DatasetInfo] = {
-    "gahuku-gama": DatasetInfo("gahuku-gama", bundled=True, true_k=3, has_labels=True, named_nodes=True),
-    "karate": DatasetInfo("karate", bundled=True, true_k=2, has_labels=True, named_nodes=True),
-    "slovene-parties": DatasetInfo("slovene-parties", bundled=True, true_k=2, named_nodes=True),
+    "gahuku-gama": DatasetInfo("gahuku-gama", bundled=True, true_k=3),
+    "karate": DatasetInfo("karate", bundled=True, true_k=2),
+    "slovene-parties": DatasetInfo("slovene-parties", bundled=True, true_k=2),
     "train-bombing": DatasetInfo("train-bombing", bundled=False),
-    "les-miserables": DatasetInfo("les-miserables", bundled=False, named_nodes=True),
-    "us-top500-airports": DatasetInfo("us-top500-airports", bundled=False, named_nodes=True),
-    "polblogs": DatasetInfo("polblogs", bundled=False, true_k=2, has_labels=True),
-    "us-airports": DatasetInfo("us-airports", bundled=False, named_nodes=True),
+    "les-miserables": DatasetInfo("les-miserables", bundled=False),
+    "us-top500-airports": DatasetInfo("us-top500-airports", bundled=False),
+    "polblogs": DatasetInfo("polblogs", bundled=False, true_k=2),
+    "us-airports": DatasetInfo("us-airports", bundled=False),
 }
 
 
@@ -72,21 +70,38 @@ def _fixture_path(filename: str) -> Path:
     return _PACKAGE_DIR / "data" / filename
 
 
-def _dataset_files(info: DatasetInfo, cache_dir: Path | None) -> tuple[Path, Path | None, Path | None]:
+def _dataset_files(info: DatasetInfo, cache_dir: Path | None) -> tuple[Path, Path, Path]:
+    """The edge list, node roster and curated truth paths of a dataset; the
+    two sidecars are read only where they exist."""
     stem = info.name.replace("-", "_")
     base = _fixture_path("") if info.bundled else (cache_dir or default_cache_dir())
-    edges = Path(base) / f"{stem}.edges"
-    labels = Path(base) / f"{stem}.labels" if info.named_nodes else None
-    truth = Path(base) / f"{stem}.truth" if info.has_labels else None
-    return edges, labels, truth
+    return tuple(Path(base) / f"{stem}.{ext}" for ext in ("edges", "labels", "truth"))
+
+
+def _read_truth(path: Path) -> tuple[int, ...]:
+    """The whitespace-separated curated community indices of a .truth
+    file; a token that is not a nonnegative int raises ValueError naming
+    the file and its 1-based line."""
+    truth = []
+    for line_no, line in enumerate(path.read_text().split("\n"), 1):
+        for token in line.split():
+            try:
+                label = int(token)
+            except ValueError:
+                label = -1
+            if label < 0:
+                raise ValueError(f"{path}, line {line_no}: {token!r} is not a nonnegative community index")
+            truth.append(label)
+    return tuple(truth)
 
 
 def load_dataset(name: str, cache_dir: Path | str | None = None) -> Dataset:
-    """Load a registered dataset by name.
+    """Load a registered dataset by name, with its node roster and
+    curated truth where those sidecars exist.
 
     Raises DatasetMissing when a non-bundled dataset has not been
-    fetched into the cache directory yet, and KeyError for unknown
-    names.
+    fetched into the cache directory yet, KeyError for unknown names,
+    and ValueError for a malformed file.
     """
     info = DATASETS[name]
     cache = Path(cache_dir) if cache_dir is not None else None
@@ -96,10 +111,10 @@ def load_dataset(name: str, cache_dir: Path | str | None = None) -> Dataset:
             f"dataset {name!r} not found at {edges_path}; run "
             "scripts/fetch_datasets.py to download it"
         )
-    graph = load_edge_list(edges_path, labels_path=labels_path if labels_path and labels_path.exists() else None)
+    graph = load_edge_list(edges_path, labels_path=labels_path if labels_path.exists() else None)
     truth = None
-    if truth_path is not None and truth_path.exists():
-        truth = tuple(int(ln) for ln in truth_path.read_text().split())
+    if truth_path.exists():
+        truth = _read_truth(truth_path)
         if len(truth) != graph.n:
             raise ValueError(f"{truth_path} has {len(truth)} labels for {graph.n} nodes")
     return Dataset(info=info, graph=graph, truth=truth)

@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DATASETS, DatasetMissing, load_dataset
-from .dfsp import DfspReport, EstimationError, dfsp, harden
+from .dfsp import EstimationError, dfsp, harden
 from .generator import GeneratorSpec, as_kind, read_key, sample_adjacency
 from .graph import WeightedGraph
 from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
-from .modularity import KScanResult, estimate_k, fuzzy_weighted_modularity
+from .modularity import KScanPoint, KScanResult, estimate_k, fuzzy_weighted_modularity
 from .spectral import _library, top_k_eigen
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SweepCell",
     "SweepReport",
     "DatasetRow",
-    "DetectReport",
     "run_simulation",
     "run_dataset_suite",
     "detect_graph",
@@ -284,7 +283,7 @@ def run_dataset_suite(
 ) -> list[DatasetRow]:
     """Evaluate the estimator across registered real networks.
 
-    A row is detect_graph's best fit, scanning up to min(k_max, n - 1),
+    A row is detect_graph's best point, scanning up to min(k_max, n - 1),
     plus the mislabel count of the fit at the curated count where curated
     labels exist. That fit comes off the scan; only a curated count beyond
     the scan's spectrum is fitted from a spectrum of its own. Missing
@@ -299,7 +298,7 @@ def run_dataset_suite(
             rows.append(DatasetRow(name, None, None, None, None, None, None, notice=str(exc)))
             continue
         try:
-            found = detect_graph(ds.graph, k_max=min(k_max, ds.graph.n - 1))
+            best, scan = detect_graph(ds.graph, k_max=min(k_max, ds.graph.n - 1))
         except EstimationError as exc:
             rows.append(DatasetRow(name, ds.graph.n, None, None, None, None, None, notice=str(exc)))
             continue
@@ -307,13 +306,14 @@ def run_dataset_suite(
         true_k = ds.info.true_k
         if true_k and ds.truth is not None:
             try:
-                report = (found.scan.fit(true_k) if true_k <= len(found.scan.eigen.values)
+                report = (scan.fit(true_k) if true_k <= len(scan.eigen.values)
                           else dfsp(top_k_eigen(ds.graph, true_k), true_k))
                 mislabels = mislabel_count(harden(report.memberships), ds.truth)
             except EstimationError as exc:
                 notice = f"no fit at the curated k={true_k}: {exc.stage}: {exc}"
-        rows.append(DatasetRow(name, ds.graph.n, found.best_k, found.q, found.eta_mixed,
-                               found.eta_pure, mislabels, notice))
+        eta = mixedness_indices(best.report.memberships)
+        rows.append(DatasetRow(name, ds.graph.n, best.k, best.modularity.q, eta.eta_mixed,
+                               eta.eta_pure, mislabels, notice))
     return rows
 
 
@@ -323,56 +323,22 @@ def write_dataset_csv(rows: list[DatasetRow], path: str | Path) -> None:
               header=("dataset", "n", "best_k", "q", "eta_mixed", "eta_pure", "mislabels", "notice"))
 
 
-@dataclass(frozen=True)
-class DetectReport:
-    """Single-network detection output; fit is the report of the fit at
-    best_k, with its corners and clipping counts."""
+def detect_graph(
+    graph: WeightedGraph, k: int | None = None, k_max: int | None = None
+) -> tuple[KScanPoint, KScanResult | None]:
+    """Fit and score one graph, scanning for k when not given.
 
-    memberships: np.ndarray
-    labels: np.ndarray
-    best_k: int
-    q: float
-    eta_mixed: float
-    eta_pure: float
-    eigenvalue_magnitudes: tuple[float, ...]  # top k + 1 (k at k = n), for the spectral gap
-    spectral_gap: float
-    fit: DfspReport
-    scan: KScanResult | None = None
-
-
-def detect_graph(graph: WeightedGraph, k: int | None = None, k_max: int | None = None) -> DetectReport:
-    """Estimate memberships for one graph, scanning for k when not given.
-
-    Without k this is estimate_k(graph, k_max=k_max) and its best point,
-    whose fit and score are reused, not recomputed; k_max is ignored when
-    k is given, and the fit is dfsp(top_k_eigen(graph, k), k). Either way
-    one eigendecomposition serves the fit and the spectral gap, which
-    reads |lambda_{k+1}| from the fit's spectrum. Raises ValueError,
-    before any decomposition, unless k or k_max lies in 1..n.
+    Without k this is the best point of estimate_k(graph, k_max=k_max)
+    and that scan; with k, k_max is ignored and the point is the one fit
+    dfsp(top_k_eigen(graph, k), k), scored, with no scan. Either way the
+    point's report is the fit that was scored, with its spectrum. Raises
+    ValueError, before any decomposition, unless k or k_max lies in 1..n.
     """
-    scan = None
     if k is None:
         scan = estimate_k(graph, k_max=k_max)
-        best = scan.point(scan.best_k)
-        k, report, q = best.k, best.report, best.modularity
-    else:
-        report = dfsp(top_k_eigen(graph, k), k)
-        q = fuzzy_weighted_modularity(graph, report.memberships)
-    eta = mixedness_indices(report.memberships)
-    nxt = report.eigen.next_magnitude
-    mags = tuple(float(abs(v)) for v in report.eigen.values) + ((nxt,) if k < graph.n else ())
-    return DetectReport(
-        memberships=report.memberships,
-        labels=harden(report.memberships),
-        best_k=k,
-        q=q.q,
-        eta_mixed=eta.eta_mixed,
-        eta_pure=eta.eta_pure,
-        eigenvalue_magnitudes=mags,
-        spectral_gap=mags[k - 1] - nxt,
-        fit=report,
-        scan=scan,
-    )
+        return scan.point(scan.best_k), scan
+    fit = dfsp(top_k_eigen(graph, k), k)
+    return KScanPoint(k, fuzzy_weighted_modularity(graph, fit.memberships), report=fit), None
 
 
 def _cell(x) -> str:

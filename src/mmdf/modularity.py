@@ -109,7 +109,8 @@ DEFAULT_K_MAX = 15
 
 @dataclass(frozen=True)
 class KScanPoint:
-    """One k of a scan: its score, or the stage that failed.
+    """One fitted and scored k, of a scan or given: its score, or the
+    stage that failed.
 
     report is the fit that was scored, kept so callers need not refit
     this k; it takes no part in equality or repr.
@@ -132,7 +133,6 @@ class KScanResult:
 
     best_k: int
     curve: tuple[KScanPoint, ...]
-    k_max: int
     eigen: TopKEigen = field(compare=False, repr=False)
 
     def point(self, k: int) -> KScanPoint | None:
@@ -163,10 +163,13 @@ def estimate_k(
 
     Every k is fitted from one spectrum: eigen, which must be
     top_k_eigen(g, K) for some K >= k_max, or else a single
-    decomposition at k_max made here. Raises ValueError, before any
+    decomposition at k_max made here. k_max defaults to
+    min(DEFAULT_K_MAX, n - 1). Raises ValueError, before any
     decomposition, unless 1 <= k_max <= g.n.
     """
     if k_max is None:
+        if g.n < 2:
+            raise ValueError(f"k_max defaults to n - 1, which leaves nothing to scan for n={g.n}")
         k_max = min(DEFAULT_K_MAX, g.n - 1)
     if not 1 <= k_max <= g.n:
         raise ValueError(f"k_max={k_max} out of range for n={g.n}")
@@ -188,4 +191,4 @@ def estimate_k(
         for k in range(1, k_max + 1)
     )
     best = max((p for p in curve if p.ok), key=lambda p: (p.modularity.q, -p.k))
-    return KScanResult(best_k=best.k, curve=curve, k_max=k_max, eigen=eigen)
+    return KScanResult(best_k=best.k, curve=curve, eigen=eigen)

@@ -66,3 +66,14 @@ def test_missing_dataset_raises(tmp_path):
 def test_unknown_name_raises():
     with pytest.raises(KeyError):
         load_dataset("no-such-network")
+
+
+def test_sidecars_are_read_where_they_exist(tmp_path):
+    # a roster or truth file is read when present, for every registered name;
+    # the roster's order, not the edge list's, numbers the nodes
+    (tmp_path / "train_bombing.edges").write_text("b c\na b\n")
+    (tmp_path / "train_bombing.labels").write_text("a\nb\nc\n")
+    (tmp_path / "train_bombing.truth").write_text("0\n0\n1\n")
+    ds = load_dataset("train-bombing", cache_dir=tmp_path)
+    assert ds.graph.node_labels == ("a", "b", "c")
+    assert ds.truth == (0, 0, 1)

@@ -391,6 +391,18 @@ class TestCli:
         assert "out of range for n=34" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "scan-k"])
+    @pytest.mark.parametrize("edges, n", [("", 0), ("# no edges\n", 0), ("1 1\n", 1)],
+                             ids=["empty", "comment-only", "self-edge"])
+    def test_default_scan_on_fewer_than_two_nodes_exits_2(self, tmp_path, command, edges, n):
+        (tmp_path / "g.edges").write_text(edges)
+        result = CliRunner().invoke(main, [command, str(tmp_path / "g.edges"), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"error: k_max defaults to n - 1, which leaves nothing to scan for n={n}"]
+        assert not (tmp_path / "o").exists()
+
     def test_datasets_zero_k_max_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["datasets", "--only", "karate", "--k-max", "0",
                                            "--out", str(tmp_path / "o")])
@@ -545,7 +557,20 @@ class TestCli:
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == ["error: labels must be nonnegative community indices, got -1"]
+        # refused on loading, before the scan, naming the file and line
+        assert result.output.splitlines() == [
+            f"error: {tmp_path / 'polblogs.truth'}, line 6: '-1' is not a nonnegative community index"]
+
+    @pytest.mark.parametrize("token", ["x", "1.5"])
+    def test_datasets_curated_label_that_is_no_int_exits_2(self, tmp_path, token):
+        (tmp_path / "polblogs.edges").write_text("1 2\n2 3\n3 4\n4 1\n")
+        (tmp_path / "polblogs.truth").write_text(f"0\n1 0\n\n{token}\n")
+        result = CliRunner().invoke(main, ["datasets", "--only", "polblogs", "--cache", str(tmp_path),
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"error: {tmp_path / 'polblogs.truth'}, line 4: {token!r} is not a nonnegative community index"]
 
     @pytest.mark.parametrize("last", [2, 10**7])
     def test_datasets_curated_label_values_do_not_size_the_count(self, tmp_path, last):

@@ -15,9 +15,11 @@ from click.testing import CliRunner
 
 from mmdf.cli import main
 from mmdf.datasets import _fixture_path
+from mmdf.dfsp import harden
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, check_connectivity
 from mmdf.graph import load_edge_list
 from mmdf.harness import ExperimentConfig, detect_graph, run_dataset_suite, run_simulation
+from mmdf.metrics import mixedness_indices
 from mmdf.modularity import estimate_k
 
 from conftest import standard_spec
@@ -51,15 +53,19 @@ def sweep_json(report):
     ]})
 
 
-def detect_files(r):
+def detect_files(best, n):
+    fit = best.report
+    eta = mixedness_indices(fit.memberships)
+    # the fit's k magnitudes and, below k = n, the next one
+    mags = [float(abs(v)) for v in fit.eigen.values] + ([fit.eigen.next_magnitude] if best.k < n else [])
     return {
-        "memberships.csv": text([",".join(repr(float(x)) for x in row) for row in r.memberships]),
-        "labels.csv": text([str(int(x)) for x in r.labels]),
+        "memberships.csv": text([",".join(repr(float(x)) for x in row) for row in fit.memberships]),
+        "labels.csv": text([str(int(x)) for x in harden(fit.memberships)]),
         "detect.json": dumps({
-            "k": r.best_k, "q": r.q, "eta_mixed": r.eta_mixed, "eta_pure": r.eta_pure,
-            "eigenvalue_magnitudes": list(r.eigenvalue_magnitudes), "spectral_gap": r.spectral_gap,
-            "vertex_indices": r.fit.vertex_indices.tolist(), "clipped_rows": r.fit.clipped_rows,
-            "degenerate_rows": r.fit.degenerate_rows, "corner_condition": r.fit.corner_condition,
+            "k": best.k, "q": best.modularity.q, "eta_mixed": eta.eta_mixed, "eta_pure": eta.eta_pure,
+            "eigenvalue_magnitudes": mags, "spectral_gap": mags[best.k - 1] - fit.eigen.next_magnitude,
+            "vertex_indices": fit.vertex_indices.tolist(), "clipped_rows": fit.clipped_rows,
+            "degenerate_rows": fit.degenerate_rows, "corner_condition": fit.corner_condition,
         }),
     }
 
@@ -67,7 +73,7 @@ def detect_files(r):
 def scan_files(scan):
     return {
         "scan.csv": text(["k,q"] + [f"{p.k},{repr(p.modularity.q) if p.ok else ''}" for p in scan.curve]),
-        "scan.json": dumps({"best_k": scan.best_k, "k_max": scan.k_max,
+        "scan.json": dumps({"best_k": scan.best_k, "k_max": len(scan.curve),
                             "failures": {p.k: p.failure for p in scan.curve if not p.ok}}),
     }
 
@@ -130,7 +136,9 @@ def test_sweep_json(tmp_path, estimate_counts):
 def test_detect_files(tmp_path, args, k, k_max):
     edges, labels = _fixture_path("karate.edges"), _fixture_path("karate.labels")
     invoke(["detect", str(edges), "--labels", str(labels), "--out", str(tmp_path), *args])
-    expected = detect_files(detect_graph(load_edge_list(edges, labels_path=labels), k=k, k_max=k_max))
+    graph = load_edge_list(edges, labels_path=labels)
+    best, _ = detect_graph(graph, k=k, k_max=k_max)
+    expected = detect_files(best, graph.n)
     for name, content in expected.items():
         assert_bytes(tmp_path / name, content)
 

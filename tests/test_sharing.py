@@ -99,23 +99,29 @@ def test_estimate_k_rejects_short_spectrum(graph):
 
 
 def test_detect_auto_k_shares_one_spectrum(calls, graph):
-    report = detect_graph(graph, k_max=5)
+    best, scan = detect_graph(graph, k_max=5)
     assert decomposed_sizes(calls) == [(60, 5)]
     assert len(calls["sign_split"]) == 1
-    assert len(report.eigenvalue_magnitudes) == report.best_k + 1
+    # the best fit's k pairs and |lambda_{k+1}| are the scan's spectrum
+    assert best.k < 5
+    assert np.array_equal(best.report.eigen.values, scan.eigen.values[:best.k])
+    assert best.report.eigen.next_magnitude == abs(scan.eigen.values[best.k])
 
 
 def test_detect_fixed_k_shares_one_spectrum(calls, graph):
-    report = detect_graph(graph, k=3)
+    best, scan = detect_graph(graph, k=3)
+    assert scan is None and best.k == 3 and best.ok
     assert decomposed_sizes(calls) == [(60, 3)]
     assert len(calls["sign_split"]) == 1
-    assert len(report.eigenvalue_magnitudes) == 4
+    assert len(best.report.eigen.values) == 3 and best.report.eigen.next_magnitude > 0
 
 
 def test_detect_gap_matches_a_separate_probe(graph):
-    report = detect_graph(graph, k_max=5)
-    probe = mmdf.spectral.top_k_eigen(graph.weights, report.best_k + 1)
-    assert report.eigenvalue_magnitudes == tuple(float(abs(v)) for v in probe.values)
+    best, _ = detect_graph(graph, k_max=5)
+    spectrum = best.report.eigen
+    probe = mmdf.spectral.top_k_eigen(graph.weights, best.k + 1)
+    magnitudes = [float(abs(v)) for v in spectrum.values] + [spectrum.next_magnitude]
+    assert magnitudes == [float(abs(v)) for v in probe.values]
 
 
 def test_detect_rejects_counts_before_decomposing(monkeypatch, graph):
@@ -162,13 +168,13 @@ def scored_counts(fits):
 
 
 def test_detect_auto_k_fits_each_count_once(fits, graph):
-    report = detect_graph(graph, k_max=5)
+    best, scan = detect_graph(graph, k_max=5)
     # five fits, scored in one call
     assert fit_counts(fits) == (5, 1)
     assert scored_counts(fits) == [1, 2, 3, 4, 5]
-    best = report.scan.point(report.best_k)
-    assert report.q == best.modularity.q
-    assert report.memberships is best.report.memberships
+    # the scan's own point and report object, not a refit
+    assert best is scan.point(scan.best_k)
+    assert scan.fit(best.k) is best.report
 
 
 def test_detect_fixed_k_fits_once(fits, graph):
