@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import WeightedGraph, load_edge_list
+from .graph import ParseError, WeightedGraph, load_edge_list
 
 __all__ = [
     "DatasetInfo",
@@ -80,8 +80,7 @@ def _dataset_files(info: DatasetInfo, cache_dir: Path | None) -> tuple[Path, Pat
 
 def _read_truth(path: Path) -> tuple[int, ...]:
     """The whitespace-separated curated community indices of a .truth
-    file; a token that is not a nonnegative int raises ValueError naming
-    the file and its 1-based line."""
+    file; a token that is not a nonnegative int raises ParseError."""
     truth = []
     for line_no, line in enumerate(path.read_text().split("\n"), 1):
         for token in line.split():
@@ -90,7 +89,7 @@ def _read_truth(path: Path) -> tuple[int, ...]:
             except ValueError:
                 label = -1
             if label < 0:
-                raise ValueError(f"{path}, line {line_no}: {token!r} is not a nonnegative community index")
+                raise ParseError(path, line_no, f"{token!r} is not a nonnegative community index")
             truth.append(label)
     return tuple(truth)
 
@@ -101,7 +100,7 @@ def load_dataset(name: str, cache_dir: Path | str | None = None) -> Dataset:
 
     Raises DatasetMissing when a non-bundled dataset has not been
     fetched into the cache directory yet, KeyError for unknown names,
-    and ValueError for a malformed file.
+    and ValueError naming the file for a malformed one.
     """
     info = DATASETS[name]
     cache = Path(cache_dir) if cache_dir is not None else None

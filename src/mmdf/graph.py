@@ -25,10 +25,11 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed edge-list record; carries the 1-based line number."""
+    """Malformed record of an input file; names the file and carries the
+    1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        super().__init__(f"{path}, line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -158,39 +159,36 @@ def load_edge_list(
     label or be a 1-based index into the roster.
 
     Duplicate (i, j) records are summed. Self-edge records are dropped;
-    their node identifiers are still registered. Raises ParseError with
-    the offending line number on malformed input.
+    their node identifiers are still registered. Raises ParseError naming
+    the file and the offending line on malformed input, a repeated roster
+    label and duplicates whose sum is not finite included.
     """
     path = Path(path)
-    roster: list[str] | None = None
-    if labels_path is not None:
-        roster = [
-            name
-            for ln in Path(labels_path).read_text().splitlines()
-            if (name := ln.strip()) and not ln.startswith("#")
-        ]
-
+    # the node names in node order: the roster's, or else each name as it
+    # first appears in the edge list
     index: dict[str, int] = {}
-    if roster is not None:
-        for i, name in enumerate(roster):
-            if name in index:
-                raise ValueError(f"duplicate node label {name!r}")
-            index[name] = i
+    rostered = labels_path is not None
+    if rostered:
+        for line_no, ln in enumerate(Path(labels_path).read_text().splitlines(), start=1):
+            if (name := ln.strip()) and not ln.startswith("#"):
+                if name in index:
+                    raise ParseError(labels_path, line_no, f"duplicate node label {name!r}")
+                index[name] = len(index)
     # tokens already known to name a node: without a roster, those seen so
     # far; with one, every label and every plain 1-based index no label shadows
-    known = index if roster is None else {str(i + 1): i for i in range(len(roster))} | index
+    known = {str(i + 1): i for i in range(len(index))} | index if rostered else index
 
     def resolve(token: str, line_no: int) -> int:
         """The node of a token that is not in known."""
-        if roster is None:
+        if not rostered:
             index[token] = len(index)
             return index[token]
         try:
             i = int(token)
         except ValueError:
-            raise ParseError(line_no, f"unknown node {token!r}") from None
-        if not 1 <= i <= len(roster):
-            raise ParseError(line_no, f"node index {i} outside roster")
+            raise ParseError(path, line_no, f"unknown node {token!r}") from None
+        if not 1 <= i <= len(index):
+            raise ParseError(path, line_no, f"node index {i} outside roster")
         return i - 1
 
     accum: dict[tuple[int, int], float] = {}
@@ -217,13 +215,13 @@ def load_edge_list(
                 try:
                     w = float(tokens[2])
                 except ValueError:
-                    raise ParseError(line_no, f"bad weight {tokens[2]!r}") from None
+                    raise ParseError(path, line_no, f"bad weight {tokens[2]!r}") from None
                 if not math.isfinite(w):
-                    raise ParseError(line_no, f"non-finite weight {tokens[2]!r}")
+                    raise ParseError(path, line_no, f"non-finite weight {tokens[2]!r}")
             elif len(tokens) == 2:
                 w = 1.0
             else:
-                raise ParseError(line_no, f"expected 2 or 3 fields, got {len(tokens)}")
+                raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(tokens)}")
             i = known.get(tokens[0])
             if i is None:
                 i = resolve(tokens[0], line_no)
@@ -235,17 +233,16 @@ def load_edge_list(
             key = (i, j) if i < j else (j, i)
             if key in accum:
                 accum[key] += w
+                if not math.isfinite(accum[key]):
+                    raise ParseError(path, line_no, f"weights of {tokens[0]} {tokens[1]} sum to {accum[key]!r}")
             else:
                 accum[key] = w
 
-    n = len(roster) if roster is not None else len(index)
-    weights = np.zeros((n, n))
+    weights = np.zeros((len(index), len(index)))
     i, j = np.fromiter(chain.from_iterable(accum), dtype=np.intp, count=2 * len(accum)).reshape(-1, 2).T
     w = np.fromiter(accum.values(), dtype=float, count=len(accum))
     weights[np.concatenate([i, j]), np.concatenate([j, i])] = np.concatenate([w, w])
-    # without a roster, index holds the names in first-appearance order
-    labels = tuple(roster if roster is not None else index)
-    return WeightedGraph(weights, labels if labels else None)
+    return WeightedGraph(weights, tuple(index) or None)
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path | None = None) -> None:

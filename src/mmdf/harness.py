@@ -8,9 +8,9 @@ aggregate per sweep value. Replicate RNG streams are spawned from one
 root seed so any replicate is reproducible in isolation and results do
 not depend on scheduling order.
 
-run_dataset_suite runs detect_graph on each registered real network and
-adds the mislabel count of the fit at the curated community count, where
-curated labels exist.
+run_dataset_suite scans each registered real network from one
+decomposition and adds the mislabel count of the fit at the curated
+community count, where curated labels exist.
 """
 
 from __future__ import annotations
@@ -268,11 +268,11 @@ class DatasetRow:
 
     name: str
     n: int | None
-    best_k: int | None
-    q_best: float | None
-    eta_mixed: float | None
-    eta_pure: float | None
-    mislabels: int | None
+    best_k: int | None = None
+    q_best: float | None = None
+    eta_mixed: float | None = None
+    eta_pure: float | None = None
+    mislabels: int | None = None
     notice: str | None = None
 
 
@@ -283,36 +283,45 @@ def run_dataset_suite(
 ) -> list[DatasetRow]:
     """Evaluate the estimator across registered real networks.
 
-    A row is detect_graph's best point, scanning up to min(k_max, n - 1),
-    plus the mislabel count of the fit at the curated count where curated
-    labels exist. That fit comes off the scan; only a curated count beyond
-    the scan's spectrum is fitted from a spectrum of its own. Missing
-    (unfetched) datasets produce a row with a notice instead of failing
-    the suite.
+    Each network is decomposed once, at max(K, curated k) pairs for
+    K = min(k_max, n - 1). A row is the best point of the scan up to K,
+    plus the mislabel count of the scan's fit at the curated count where
+    curated labels exist. A network that is missing (unfetched), or that
+    loads but cannot be fitted, gets a row with a notice; a malformed
+    file raises ValueError naming it. Raises ValueError, before loading
+    anything, for an unknown name or k_max < 1.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    for name in names or ():
+        if name not in DATASETS:
+            raise ValueError(f"unknown dataset {name!r}; known: {', '.join(DATASETS)}")
     rows = []
     for name in names or list(DATASETS):
         try:
             ds = load_dataset(name, cache_dir=cache_dir)
         except DatasetMissing as exc:
-            rows.append(DatasetRow(name, None, None, None, None, None, None, notice=str(exc)))
+            rows.append(DatasetRow(name, None, notice=str(exc)))
             continue
+        graph, true_k = ds.graph, ds.info.true_k if ds.truth is not None else None
+        if graph.n < 2:
+            rows.append(DatasetRow(name, graph.n, notice=f"a scan needs two nodes; the graph has {graph.n}"))
+            continue
+        scan_k = min(k_max, graph.n - 1)
         try:
-            best, scan = detect_graph(ds.graph, k_max=min(k_max, ds.graph.n - 1))
-        except EstimationError as exc:
-            rows.append(DatasetRow(name, ds.graph.n, None, None, None, None, None, notice=str(exc)))
+            scan = estimate_k(graph, k_max=scan_k, eigen=top_k_eigen(graph, max(scan_k, true_k or 1)))
+        except (EstimationError, ValueError) as exc:  # ValueError: no finite spectrum
+            rows.append(DatasetRow(name, graph.n, notice=str(exc)))
             continue
         mislabels = notice = None
-        true_k = ds.info.true_k
-        if true_k and ds.truth is not None:
+        if true_k:
             try:
-                report = (scan.fit(true_k) if true_k <= len(scan.eigen.values)
-                          else dfsp(top_k_eigen(ds.graph, true_k), true_k))
-                mislabels = mislabel_count(harden(report.memberships), ds.truth)
+                mislabels = mislabel_count(harden(scan.fit(true_k).memberships), ds.truth)
             except EstimationError as exc:
                 notice = f"no fit at the curated k={true_k}: {exc.stage}: {exc}"
+        best = scan.point(scan.best_k)
         eta = mixedness_indices(best.report.memberships)
-        rows.append(DatasetRow(name, ds.graph.n, best.k, best.modularity.q, eta.eta_mixed,
+        rows.append(DatasetRow(name, graph.n, best.k, best.modularity.q, eta.eta_mixed,
                                eta.eta_pure, mislabels, notice))
     return rows
 

@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import mmdf
 from mmdf.cli import main
+from mmdf.datasets import DATASETS
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
 from mmdf.harness import (PROFILES, ExperimentConfig, SweepCell, _pin_blas_threads, _Replicate, _sweep_cell,
                           run_simulation)
@@ -336,6 +337,7 @@ ODD_LINE = st.one_of(
     st.lists(st.one_of(NODE, WEIGHT), max_size=4).map(" ".join),
 )
 EDGE_LINES = st.lists(CLEAN_LINE, max_size=12) | st.lists(CLEAN_LINE | ODD_LINE, max_size=12)
+TRUTH_TOKEN = st.sampled_from(["0", "1", "2", "0 1", "", "# 0", "x", "-1", "1.5", "10000000"])
 ROSTER = st.none() | st.lists(NODE, unique=True, max_size=8) | st.lists(
     NODE | st.sampled_from(["", "# roster comment", "x y"]), max_size=8)
 
@@ -506,7 +508,7 @@ class TestCli:
         graph.write_text("a b c d\n1 2 1\n2 3 1\n")
         result = CliRunner().invoke(main, ["detect", str(graph), "--k", "1", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
-        assert result.output.splitlines() == ["error: line 1: expected 2 or 3 fields, got 4"]
+        assert result.output.splitlines() == [f"error: {graph}, line 1: expected 2 or 3 fields, got 4"]
         assert not (tmp_path / "o").exists()
 
     def test_detect_non_finite_spectrum_exits_2(self, tmp_path):
@@ -620,6 +622,56 @@ class TestCli:
         assert result.output.count("error: ") == 1
         assert message in result.output
 
+    @pytest.mark.parametrize("edges, n, notice", [
+        ("1 1\n", 1, "a scan needs two nodes; the graph has 1"),
+        ("", 0, "a scan needs two nodes; the graph has 0"),
+        # finite weights whose eigenvalues exceed the float64 range
+        ("a b 1.5e308\nb c 1.2e308\nc d 1.5e308\nd a -1.0e308\na c 1.6e308\n", 4,
+         "eigendecomposition returned non-finite eigenpairs"),
+    ], ids=["one-node", "empty", "huge-spectrum"])
+    def test_datasets_network_that_cannot_be_fitted_is_a_notice(self, tmp_path, edges, n, notice):
+        # it parses, so it gets a row, and the other networks keep theirs
+        (tmp_path / "polblogs.edges").write_text(edges)
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        result = CliRunner().invoke(main, ["datasets", "--only", "polblogs", "--only", "karate",
+                                           "--cache", str(tmp_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        polblogs, karate = (out / "datasets.csv").read_text().splitlines()[1:]
+        assert polblogs == f"polblogs,{n},,,,,,{notice}"
+        assert CliRunner().invoke(main, ["datasets", "--only", "karate", "--out", str(alone)]).exit_code == 0
+        assert karate == (alone / "datasets.csv").read_text().splitlines()[1]
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("polblogs.edges", "1 2\n2 3 zzz\n", "line 2: bad weight 'zzz'"),
+        ("polblogs.edges", "1 2 1e308\n2 3\n2 1 1e308\n", "line 3: weights of 2 1 sum to inf"),
+        ("polblogs.labels", "1\n2\n# 3\n\n1\n3\n", "line 5: duplicate node label '1'"),
+    ], ids=["bad-weight", "overflowing-duplicates", "duplicate-label"])
+    def test_datasets_parse_error_names_its_file(self, tmp_path, name, text, message):
+        (tmp_path / "polblogs.edges").write_text("1 2\n2 3\n")
+        (tmp_path / name).write_text(text)
+        result = CliRunner().invoke(main, ["datasets", "--only", "karate", "--only", "polblogs",
+                                           "--cache", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {tmp_path / name}, {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--only", "karate", "--only", "nope"], "unknown dataset 'nope'; known: " + ", ".join(DATASETS)),
+        (["--k-max", "0"], "k_max must be >= 1, got 0"),
+        (["--k-max", "-1", "--only", "nope"], "k_max must be >= 1, got -1"),
+    ], ids=["unknown-name", "k-max-0", "both"])
+    def test_datasets_bad_arguments_exit_2_before_loading(self, tmp_path, monkeypatch, args, message):
+        def no_load(*_, **__):
+            raise AssertionError("a dataset was loaded")
+
+        monkeypatch.setattr(mmdf.harness, "load_dataset", no_load)
+        result = CliRunner().invoke(main, ["datasets", *args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_infinite_rho_exits_2(self, tmp_path):
         payload = small_config(Family.UNIFORM).to_dict()
         payload["sweep_values"] = [float("inf")]
@@ -715,6 +767,36 @@ class TestCli:
                 assert result.exit_code in (0, 2, 3, 4), result.output
                 assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
                 assert "Traceback" not in result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=EDGE_LINES, roster=ROSTER, with_karate=st.booleans(), data=st.data())
+    def test_any_cached_network_exits_0_or_2(self, lines, roster, with_karate, data):
+        # n is the roster's length, or at most the number of names used
+        used = {t for line in lines for t in line.replace(",", " ").split()} & set(NAMES)
+        n = len(roster) if roster is not None else len(used)
+        truth = data.draw(st.none() | st.lists(st.sampled_from(["0", "1", "2"]), min_size=n, max_size=n)
+                          | st.lists(TRUTH_TOKEN, max_size=10), label="truth")
+        names = ["polblogs"] + (["karate"] if with_karate else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = Path(tmp)
+            (cache / "polblogs.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for ext, text in (("labels", roster), ("truth", truth)):
+                if text is not None:
+                    (cache / f"polblogs.{ext}").write_text("\n".join(text) + "\n", encoding="utf-8")
+            out = cache / "o"
+            result = CliRunner().invoke(main, ["datasets", *(a for name in names for a in ("--only", name)),
+                                               "--cache", tmp, "--out", str(out)])
+            assert result.exit_code in (0, 2), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+            event(f"exit {result.exit_code}")
+            if result.exit_code == 0:
+                rows = (out / "datasets.csv").read_text(encoding="utf-8").splitlines()[1:]
+                assert [row.split(",")[0] for row in rows] == names
+            else:
+                # one error line, naming the file at fault
+                (line,) = result.output.splitlines()
+                assert line.startswith(f"error: {cache / 'polblogs.'}"), line
+                assert not out.exists()
 
 
 def is_int(v):

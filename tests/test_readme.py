@@ -5,6 +5,8 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import mmdf
+
 from mmdf.cli import main
 from mmdf.harness import PROFILES
 
@@ -25,6 +27,19 @@ def test_library_entry_points_block_runs(tmp_path, monkeypatch):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)  # the example writes an edge list
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_public_names_are_the_readme_names():
+    # every name the library block imports from mmdf is public, and every
+    # public name is named somewhere in the README
+    text = README.read_text()
+    section = text[text.index("## Library entry points"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    imported = re.search(r"from mmdf import \((.*?)\)", block, re.DOTALL).group(1)
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    assert names and names <= set(mmdf.__all__), sorted(names - set(mmdf.__all__))
+    unnamed = [name for name in mmdf.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not unnamed, unnamed
 
 
 def test_simulation_config_block_runs(tmp_path):

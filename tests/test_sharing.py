@@ -5,8 +5,9 @@ graph shares a single top-k spectrum, fits each count once, and scores
 every fit of a scan in one batch: one sign split, the one pass over W
 that scoring makes. A fit at a known k where the graph is also scanned
 (a replicate's true k, a dataset's curated k) is read off the scan with
-KScanResult.fit, and a datasets row is detect_graph's best fit plus the
-mislabel count at the curated k. These tests count the calls at every
+KScanResult.fit. A datasets row is the best point of one scan plus the
+mislabel count at the curated k, both from one decomposition at the
+larger of the two counts. These tests count the calls at every
 mmdf binding of top_k_eigen, sign_split, dfsp and
 fuzzy_weighted_modularity, so a code path that decomposes, fits or
 scores again, under any import name, is caught.
@@ -149,9 +150,9 @@ def test_replicate_decomposes_once(calls, estimate_counts, expected):
 def test_dataset_suite_decomposes_once_per_graph(calls):
     rows = run_dataset_suite(["karate", "gahuku-gama", "slovene-parties"], k_max=12)
     assert [r.notice for r in rows] == [None, None, None]
-    # detect_graph decomposes only the k_max pairs its scan fits, and reads
-    # the spectral gap's |lambda_{k+1}| from the fit's next_magnitude;
-    # slovene-parties (n=10) scans only up to n - 1
+    # each curated count lies inside the scan, so a graph is decomposed
+    # only at the k_max pairs its scan fits; slovene-parties (n=10) scans
+    # only up to n - 1
     assert decomposed_sizes(calls) == [(34, 12), (16, 12), (10, 9)]
     assert len(calls["sign_split"]) == 3
 
@@ -226,10 +227,12 @@ def test_dataset_suite_fits_each_count_once(fits):
     assert scored_counts(fits) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
-def test_dataset_suite_fits_a_curated_count_beyond_the_scan(fits):
-    # gahuku-gama's curated count (3) lies beyond a k_max=2 scan
+def test_dataset_suite_fits_a_curated_count_beyond_the_scan(fits, calls):
+    # gahuku-gama's curated count (3) lies beyond a k_max=2 scan, so the
+    # one decomposition reaches it
     rows = run_dataset_suite(["gahuku-gama"], k_max=2)
     assert rows[0].mislabels is not None
+    assert decomposed_sizes(calls) == [(16, 3)]
     assert [k for _, k in fits["dfsp"]] == [1, 2, 3]
     # the scan's two fits are scored in one call; the curated fit is not scored
     assert len(fits["fuzzy_weighted_modularity"]) == 1
