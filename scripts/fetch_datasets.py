@@ -73,7 +73,7 @@ def write_edges(path: Path, records: list[tuple[str, str, float]], header: str) 
     for u, v, w in records:
         w_txt = str(int(w)) if float(w).is_integer() else repr(w)
         lines.append(f"{u} {v} {w_txt}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"  wrote {path} ({len(records)} edges)")
 
 
@@ -134,7 +134,7 @@ def do_les_miserables(dest: Path) -> None:
         edges = sorted(edges, key=lambda t: (int(t[0]), int(t[1])))
     write_edges(dest / "les_miserables.edges", edges, "character co-occurrence counts")
     if names:
-        (dest / "les_miserables.labels").write_text("\n".join(names) + "\n")
+        (dest / "les_miserables.labels").write_text("\n".join(names) + "\n", encoding="utf-8")
 
 
 def do_us_top500(dest: Path) -> None:
@@ -189,7 +189,7 @@ def do_polblogs(dest: Path) -> None:
         [(str(u), str(v), 1.0) for u, v in renumbered],
         "political blog hyperlinks, undirected giant component",
     )
-    (dest / "polblogs.truth").write_text("\n".join(str(values[node]) for node in nodes) + "\n")
+    (dest / "polblogs.truth").write_text("\n".join(str(values[node]) for node in nodes) + "\n", encoding="utf-8")
     print(f"  giant component: {len(nodes)} nodes")
 
 

@@ -17,8 +17,21 @@ from .generator import (
     sample_adjacency,
 )
 from .graph import WeightedGraph, load_edge_list, write_edge_list
-from .metrics import accuracy_rate, membership_errors, mislabel_count, mixedness_indices
-from .modularity import KScanResult, ModularityValue, estimate_k, fuzzy_weighted_modularity
+from .metrics import (
+    ErrorPair,
+    MixednessIndices,
+    accuracy_rate,
+    membership_errors,
+    mislabel_count,
+    mixedness_indices,
+)
+from .modularity import (
+    KScanPoint,
+    KScanResult,
+    ModularityValue,
+    estimate_k,
+    fuzzy_weighted_modularity,
+)
 from .spectral import TopKEigen, successive_projection, top_k_eigen
 
 __version__ = "0.1.0"
@@ -38,10 +51,13 @@ __all__ = [
     "WeightedGraph",
     "load_edge_list",
     "write_edge_list",
+    "ErrorPair",
+    "MixednessIndices",
     "accuracy_rate",
     "membership_errors",
     "mislabel_count",
     "mixedness_indices",
+    "KScanPoint",
     "KScanResult",
     "ModularityValue",
     "estimate_k",

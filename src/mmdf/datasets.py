@@ -14,16 +14,6 @@ from pathlib import Path
 
 from .graph import ParseError, WeightedGraph, load_edge_list
 
-__all__ = [
-    "DatasetInfo",
-    "Dataset",
-    "DATASETS",
-    "DatasetMissing",
-    "load_dataset",
-    "available_datasets",
-    "default_cache_dir",
-]
-
 
 class DatasetMissing(FileNotFoundError):
     """Requested dataset is not bundled and not present in the cache."""
@@ -82,7 +72,7 @@ def _read_truth(path: Path) -> tuple[int, ...]:
     """The whitespace-separated curated community indices of a .truth
     file; a token that is not a nonnegative int raises ParseError."""
     truth = []
-    for line_no, line in enumerate(path.read_text().split("\n"), 1):
+    for line_no, line in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), 1):
         for token in line.split():
             try:
                 label = int(token)

@@ -15,14 +15,6 @@ import numpy as np
 
 from .spectral import TopKEigen, successive_projection, top_k_eigen
 
-__all__ = [
-    "DfspReport",
-    "EstimationError",
-    "dfsp",
-    "harden",
-    "validate_memberships",
-]
-
 # corner matrices above this condition number are rejected: they signal
 # a bad community count or degenerate input, which callers must observe
 _MAX_CORNER_CONDITION = 1e12

@@ -24,17 +24,6 @@ import numpy as np
 from .dfsp import _ROW_SUM_TOL, validate_memberships
 from .graph import _BLOCK_ROWS, WeightedGraph, _equal_by_value
 
-__all__ = [
-    "Family",
-    "EdgeDistribution",
-    "ConnectivityError",
-    "GeneratorSpec",
-    "DisconnectedSampleWarning",
-    "build_membership",
-    "check_connectivity",
-    "population_adjacency",
-    "sample_adjacency",
-]
 
 def _is_number(x) -> bool:
     # compared exactly: an int beyond the float range is no finite number

@@ -15,14 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "WeightedGraph",
-    "ParseError",
-    "load_edge_list",
-    "write_edge_list",
-    "sign_split",
-]
-
 
 class ParseError(ValueError):
     """Malformed record of an input file; names the file and carries the
@@ -156,7 +148,8 @@ def load_edge_list(
     Node identifiers may be names or integers; node order is
     first-appearance order unless labels_path supplies an explicit node
     roster (one label per line), in which case identifiers must match a
-    label or be a 1-based index into the roster.
+    label or be a 1-based index into the roster. Both files are read as
+    UTF-8, a leading byte-order mark skipped.
 
     Duplicate (i, j) records are summed. Self-edge records are dropped;
     their node identifiers are still registered. Raises ParseError naming
@@ -169,7 +162,7 @@ def load_edge_list(
     index: dict[str, int] = {}
     rostered = labels_path is not None
     if rostered:
-        for line_no, ln in enumerate(Path(labels_path).read_text().splitlines(), start=1):
+        for line_no, ln in enumerate(Path(labels_path).read_text(encoding="utf-8-sig").splitlines(), start=1):
             if (name := ln.strip()) and not ln.startswith("#"):
                 if name in index:
                     raise ParseError(labels_path, line_no, f"duplicate node label {name!r}")
@@ -194,7 +187,7 @@ def load_edge_list(
     accum: dict[tuple[int, int], float] = {}
     first_data_line = True
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.partition("#")[0].strip()
             if not line:
@@ -274,6 +267,6 @@ def write_edge_list(g: WeightedGraph, path: str | Path, labels_path: str | Path 
         w = float(g.weights[i, j])
         if w != 0.0:
             lines.append(f"{names[i]} {names[j]} {w!r}")
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     if labels_path is not None:
-        Path(labels_path).write_text("\n".join(names) + "\n")
+        Path(labels_path).write_text("\n".join(names) + "\n", encoding="utf-8")

@@ -33,18 +33,6 @@ from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count
 from .modularity import KScanPoint, KScanResult, estimate_k, fuzzy_weighted_modularity
 from .spectral import _library, top_k_eigen
 
-__all__ = [
-    "ExperimentConfig",
-    "SweepCell",
-    "SweepReport",
-    "DatasetRow",
-    "run_simulation",
-    "run_dataset_suite",
-    "detect_graph",
-    "write_csv",
-    "write_json",
-]
-
 PROFILES = {"paper": 100, "ci": 25}
 # the JSON kind of each config key but the generator, in field order
 _KEYS = {"sweep_parameter": "str", "sweep_values": "numbers", "replications": "int",
@@ -116,7 +104,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
 
 @dataclass(frozen=True)
@@ -281,7 +269,8 @@ def run_dataset_suite(
     k_max: int = 8,
     cache_dir: Path | str | None = None,
 ) -> list[DatasetRow]:
-    """Evaluate the estimator across registered real networks.
+    """Evaluate the estimator across registered real networks: names, in
+    first-appearance order and once each, or else every registered one.
 
     Each network is decomposed once, at max(K, curated k) pairs for
     K = min(k_max, n - 1). A row is the best point of the scan up to K,
@@ -293,11 +282,12 @@ def run_dataset_suite(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    for name in names or ():
+    names = list(dict.fromkeys(names or DATASETS))
+    for name in names:
         if name not in DATASETS:
             raise ValueError(f"unknown dataset {name!r}; known: {', '.join(DATASETS)}")
     rows = []
-    for name in names or list(DATASETS):
+    for name in names:
         try:
             ds = load_dataset(name, cache_dir=cache_dir)
         except DatasetMissing as exc:
@@ -360,7 +350,7 @@ def write_csv(path: str | Path, rows, header=None) -> None:
     nan for NaN), anything else is str(x)."""
     lines = [] if header is None else [",".join(header)]
     lines += [",".join(map(_cell, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -369,4 +359,4 @@ def write_json(path: str | Path, payload: dict) -> None:
     # keys are sorted in the first pass, where int keys sort as numbers;
     # parsing it back turns NaN and Infinity into None and keeps the order
     plain = json.loads(json.dumps(payload, sort_keys=True), parse_constant=lambda _: None)
-    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n", encoding="utf-8")

@@ -9,15 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ErrorPair",
-    "MixednessIndices",
-    "membership_errors",
-    "mislabel_count",
-    "accuracy_rate",
-    "mixedness_indices",
-]
-
 _HIGHLY_MIXED_MAX = 0.7
 _HIGHLY_PURE_MIN = 0.9
 

@@ -19,15 +19,6 @@ from .dfsp import DfspReport, EstimationError, dfsp, validate_memberships
 from .graph import WeightedGraph, sign_split
 from .spectral import TopKEigen, top_k_eigen
 
-__all__ = [
-    "ModularityValue",
-    "KScanPoint",
-    "KScanResult",
-    "fuzzy_weighted_modularity",
-    "estimate_k",
-    "DEFAULT_K_MAX",
-]
-
 
 @dataclass(frozen=True)
 class ModularityValue:

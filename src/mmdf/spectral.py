@@ -42,12 +42,6 @@ import numpy as np
 
 from .graph import WeightedGraph
 
-__all__ = [
-    "TopKEigen",
-    "top_k_eigen",
-    "successive_projection",
-]
-
 # relative symmetry tolerance for eigensolver input
 _SYMMETRY_TOL = 1e-9
 # successive projection stops once the residual's squared Frobenius norm

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import mmdf
 from mmdf.cli import main
-from mmdf.datasets import DATASETS
+from mmdf.datasets import DATASETS, load_dataset
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
 from mmdf.harness import (PROFILES, ExperimentConfig, SweepCell, _pin_blas_threads, _Replicate, _sweep_cell,
                           run_simulation)
@@ -311,6 +313,34 @@ def test_a_seeded_sweep_reproduces_its_stored_files(tmp_path):
     assert (written["config"], written["cells"]) == (stored["config"], stored["cells"])
 
 
+# writes and reads back non-ASCII text; written in escapes, since an ASCII
+# locale cannot decode a command line that holds the characters themselves
+ASCII_LOCALE_SCRIPT = """
+import sys
+import numpy as np
+from mmdf import WeightedGraph, load_edge_list, write_edge_list
+from mmdf.harness import write_csv
+
+out = sys.argv[1]
+graph = WeightedGraph(np.array([[0.0, 1.5], [1.5, 0.0]]), ("\\u00fc", "\\u540d"))
+write_edge_list(graph, out + "/g.edges", labels_path=out + "/g.labels")
+assert load_edge_list(out + "/g.edges", labels_path=out + "/g.labels") == graph
+write_csv(out + "/g.csv", [graph.node_labels])
+"""
+
+
+def test_files_are_utf8_in_an_ascii_locale(tmp_path):
+    # the C locale with UTF-8 mode and locale coercion off: open() defaults to ASCII
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(mmdf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", ASCII_LOCALE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "g.edges").read_bytes() == "\u00fc \u540d 1.5\n".encode("utf-8")
+    assert (tmp_path / "g.labels").read_bytes() == "\u00fc\n\u540d\n".encode("utf-8")
+    assert (tmp_path / "g.csv").read_bytes() == "\u00fc,\u540d\n".encode("utf-8")
+
+
 def write_config(tmp_path, family=Family.POINT_MASS, values=(2.0,)):
     config = small_config(family, values=values, reps=2)
     path = tmp_path / "config.json"
@@ -340,6 +370,18 @@ EDGE_LINES = st.lists(CLEAN_LINE, max_size=12) | st.lists(CLEAN_LINE | ODD_LINE,
 TRUTH_TOKEN = st.sampled_from(["0", "1", "2", "0 1", "", "# 0", "x", "-1", "1.5", "10000000"])
 ROSTER = st.none() | st.lists(NODE, unique=True, max_size=8) | st.lists(
     NODE | st.sampled_from(["", "# roster comment", "x y"]), max_size=8)
+
+
+def node_count(lines, roster) -> int:
+    """The roster's length, or at most the number of names the lines use."""
+    used = {t for line in lines for t in line.replace(",", " ").split()} & set(NAMES)
+    return len(roster) if roster is not None else len(used)
+
+
+def draw_truth(data, n: int):
+    """No truth file, a valid one for n nodes, or random truth tokens."""
+    return data.draw(st.none() | st.lists(st.sampled_from(["0", "1", "2"]), min_size=n, max_size=n)
+                     | st.lists(TRUTH_TOKEN, max_size=10), label="truth")
 
 
 class TestCli:
@@ -717,6 +759,26 @@ class TestCli:
         # each corner is its own community's pure node
         assert np.abs(memberships[corners] - np.eye(k)).max() <= 1e-9
 
+    def test_datasets_repeated_name_gets_one_row(self, tmp_path):
+        # names run once each, in the order they first appear
+        once, repeated = tmp_path / "once", tmp_path / "repeated"
+        for out, names in ((once, ["karate", "gahuku-gama"]), (repeated, ["karate", "gahuku-gama", "karate"])):
+            result = CliRunner().invoke(main, ["datasets", *(a for name in names for a in ("--only", name)),
+                                               "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert (repeated / "datasets.csv").read_bytes() == (once / "datasets.csv").read_bytes()
+        assert len((once / "datasets.csv").read_text().splitlines()) == 3
+
+    def test_simulate_reads_a_config_saved_with_a_bom(self, tmp_path):
+        plain = write_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for config, out in ((plain, tmp_path / "plain"), (marked, tmp_path / "marked")):
+            result = CliRunner().invoke(main, ["simulate", "--config", str(config), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_datasets_unknown_name_exits_2(self):
         result = CliRunner().invoke(main, ["datasets", "--only", "nope"])
         assert result.exit_code == 2
@@ -750,9 +812,7 @@ class TestCli:
     @settings(max_examples=200, deadline=None)
     @given(lines=EDGE_LINES, roster=ROSTER, data=st.data())
     def test_any_edge_list_exits_with_a_documented_code(self, lines, roster, data):
-        # n is the roster's length, or at most the number of names used
-        used = {t for line in lines for t in line.replace(",", " ").split()} & set(NAMES)
-        n = len(roster) if roster is not None else len(used)
+        n = node_count(lines, roster)
         k_max = data.draw(st.none() | st.integers(-2, n + 2), label="k_max")
         with tempfile.TemporaryDirectory() as tmp:
             graph = Path(tmp) / "graph.edges"
@@ -771,11 +831,7 @@ class TestCli:
     @settings(max_examples=150, deadline=None)
     @given(lines=EDGE_LINES, roster=ROSTER, with_karate=st.booleans(), data=st.data())
     def test_any_cached_network_exits_0_or_2(self, lines, roster, with_karate, data):
-        # n is the roster's length, or at most the number of names used
-        used = {t for line in lines for t in line.replace(",", " ").split()} & set(NAMES)
-        n = len(roster) if roster is not None else len(used)
-        truth = data.draw(st.none() | st.lists(st.sampled_from(["0", "1", "2"]), min_size=n, max_size=n)
-                          | st.lists(TRUTH_TOKEN, max_size=10), label="truth")
+        truth = draw_truth(data, node_count(lines, roster))
         names = ["polblogs"] + (["karate"] if with_karate else [])
         with tempfile.TemporaryDirectory() as tmp:
             cache = Path(tmp)
@@ -797,6 +853,30 @@ class TestCli:
                 (line,) = result.output.splitlines()
                 assert line.startswith(f"error: {cache / 'polblogs.'}"), line
                 assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=EDGE_LINES, roster=ROSTER, marked=st.sets(st.sampled_from(["edges", "labels", "truth"]), min_size=1),
+       data=st.data())
+def test_a_byte_order_mark_changes_no_input_file(lines, roster, marked, data):
+    # an edge list, roster or truth file saved with a UTF-8 BOM loads as
+    # the same file without one, or fails with the same error
+    truth = draw_truth(data, node_count(lines, roster))
+
+    def load(cache: Path, bom: set[str]):
+        for ext, text in (("edges", lines), ("labels", roster), ("truth", truth)):
+            if text is not None:
+                mark = "\ufeff" if ext in bom else ""
+                (cache / f"polblogs.{ext}").write_text(mark + "\n".join(text) + "\n", encoding="utf-8")
+        try:
+            return load_dataset("polblogs", cache_dir=cache)
+        except ValueError as exc:
+            return type(exc), str(exc).replace(str(cache), "<cache>")
+
+    with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as bom:
+        expected = load(Path(plain), set())
+        event("loads" if not isinstance(expected, tuple) else "fails")
+        assert load(Path(bom), marked) == expected
 
 
 def is_int(v):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import re
 import shlex
+import typing
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -40,6 +42,66 @@ def test_public_names_are_the_readme_names():
     assert names and names <= set(mmdf.__all__), sorted(names - set(mmdf.__all__))
     unnamed = [name for name in mmdf.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unnamed, unnamed
+
+
+def mmdf_classes(hint) -> set[type]:
+    """The mmdf classes a resolved annotation names, its arguments included."""
+    if typing.get_origin(hint) is None and isinstance(hint, type) and hint.__module__.startswith("mmdf"):
+        return {hint}
+    return set().union(*map(mmdf_classes, typing.get_args(hint)))
+
+
+def annotated_classes(obj) -> set[type]:
+    """The mmdf classes named by a function's return annotation, or by a
+    class's field annotations and its public methods' return annotations."""
+    if not isinstance(obj, type):
+        return mmdf_classes(typing.get_type_hints(obj).get("return"))
+    found = set()
+    if dataclasses.is_dataclass(obj):
+        hints = typing.get_type_hints(obj)
+        found = set().union(*(mmdf_classes(hints[f.name]) for f in dataclasses.fields(obj)))
+    for name, member in vars(obj).items():
+        method = member.fget if isinstance(member, property) else member
+        if not name.startswith("_") and callable(method):
+            found |= annotated_classes(method)
+    return found
+
+
+def test_returned_types_are_public():
+    # a value the public API hands out is of a public type, through any
+    # chain of returns and fields
+    public = {getattr(mmdf, name) for name in mmdf.__all__}
+    seen: set[type] = set()
+    todo = [obj for obj in public if callable(obj)]
+    while todo:
+        found = annotated_classes(todo.pop()) - seen
+        seen |= found
+        todo += found
+    assert not seen - public, sorted(c.__name__ for c in seen - public)
+
+
+def test_the_package_holds_one_public_list():
+    holders = [p.name for p in sorted(Path(mmdf.__file__).parent.glob("*.py"))
+               if re.search(r"^__all__\b", p.read_text(), re.MULTILINE)]
+    assert holders == ["__init__.py"]
+
+
+def test_type_table_gives_each_types_public_fields_and_methods():
+    # each row's fields column names, in backticks, exactly the public
+    # fields and methods of its type; a backticked type is a reference
+    text = README.read_text()
+    table = text[text.index("| type | returned by | fields |"):].split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    listed = {row[0].strip("`"): {name.split("(")[0] for name in re.findall(r"`([^`]+)`", row[2])}
+              for row in rows}
+    assert set(listed) == {"TopKEigen", "DfspReport", "KScanResult", "KScanPoint", "ModularityValue",
+                           "ErrorPair", "MixednessIndices"}
+    for name, names in listed.items():
+        cls = getattr(mmdf, name)
+        public = {f.name for f in dataclasses.fields(cls)} | {
+            attr for attr, member in vars(cls).items()
+            if not attr.startswith("_") and (callable(member) or isinstance(member, property))}
+        assert names - set(listed) == public, name
 
 
 def test_simulation_config_block_runs(tmp_path):
