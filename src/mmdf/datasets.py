@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import ParseError, WeightedGraph, load_edge_list
+from .graph import ParseError, WeightedGraph, load_edge_list, read_text
 
 
 class DatasetMissing(FileNotFoundError):
@@ -72,7 +72,7 @@ def _read_truth(path: Path) -> tuple[int, ...]:
     """The whitespace-separated curated community indices of a .truth
     file; a token that is not a nonnegative int raises ParseError."""
     truth = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), 1):
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
         for token in line.split():
             try:
                 label = int(token)

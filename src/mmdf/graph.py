@@ -25,6 +25,22 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark skipped and
+    line ends read as text mode reads them ("\r\n" and "\r" become
+    "\n"). Bytes that are not UTF-8 raise ParseError naming the file
+    and the line that holds them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte is UTF-8; a byte-order mark holds no line end
+        head = exc.object[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(path, line_no, f"not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _equal_by_value(self, other) -> bool:
     """Dataclass equality that compares ndarray fields by value (the
     generated __eq__ compares them with ==, which cannot be a bool), NaN
@@ -162,7 +178,7 @@ def load_edge_list(
     index: dict[str, int] = {}
     rostered = labels_path is not None
     if rostered:
-        for line_no, ln in enumerate(Path(labels_path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+        for line_no, ln in enumerate(read_text(labels_path).splitlines(), start=1):
             if (name := ln.strip()) and not ln.startswith("#"):
                 if name in index:
                     raise ParseError(labels_path, line_no, f"duplicate node label {name!r}")
@@ -187,49 +203,48 @@ def load_edge_list(
     accum: dict[tuple[int, int], float] = {}
     first_data_line = True
 
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.partition("#")[0].strip()
-            if not line:
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if "," in line:
+            tokens = [t for t in map(str.strip, line.split(",")) if t]
+        else:
+            tokens = line.split()
+        if first_data_line and len(tokens) == 3:
+            # header detection: last column not numeric
+            try:
+                float(tokens[-1])
+            except ValueError:
+                first_data_line = False
                 continue
-            if "," in line:
-                tokens = [t for t in map(str.strip, line.split(",")) if t]
-            else:
-                tokens = line.split()
-            if first_data_line and len(tokens) == 3:
-                # header detection: last column not numeric
-                try:
-                    float(tokens[-1])
-                except ValueError:
-                    first_data_line = False
-                    continue
-            first_data_line = False
-            if len(tokens) == 3:
-                try:
-                    w = float(tokens[2])
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad weight {tokens[2]!r}") from None
-                if not math.isfinite(w):
-                    raise ParseError(path, line_no, f"non-finite weight {tokens[2]!r}")
-            elif len(tokens) == 2:
-                w = 1.0
-            else:
-                raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(tokens)}")
-            i = known.get(tokens[0])
-            if i is None:
-                i = resolve(tokens[0], line_no)
-            j = known.get(tokens[1])
-            if j is None:
-                j = resolve(tokens[1], line_no)
-            if i == j:
-                continue
-            key = (i, j) if i < j else (j, i)
-            if key in accum:
-                accum[key] += w
-                if not math.isfinite(accum[key]):
-                    raise ParseError(path, line_no, f"weights of {tokens[0]} {tokens[1]} sum to {accum[key]!r}")
-            else:
-                accum[key] = w
+        first_data_line = False
+        if len(tokens) == 3:
+            try:
+                w = float(tokens[2])
+            except ValueError:
+                raise ParseError(path, line_no, f"bad weight {tokens[2]!r}") from None
+            if not math.isfinite(w):
+                raise ParseError(path, line_no, f"non-finite weight {tokens[2]!r}")
+        elif len(tokens) == 2:
+            w = 1.0
+        else:
+            raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(tokens)}")
+        i = known.get(tokens[0])
+        if i is None:
+            i = resolve(tokens[0], line_no)
+        j = known.get(tokens[1])
+        if j is None:
+            j = resolve(tokens[1], line_no)
+        if i == j:
+            continue
+        key = (i, j) if i < j else (j, i)
+        if key in accum:
+            accum[key] += w
+            if not math.isfinite(accum[key]):
+                raise ParseError(path, line_no, f"weights of {tokens[0]} {tokens[1]} sum to {accum[key]!r}")
+        else:
+            accum[key] = w
 
     weights = np.zeros((len(index), len(index)))
     i, j = np.fromiter(chain.from_iterable(accum), dtype=np.intp, count=2 * len(accum)).reshape(-1, 2).T

@@ -28,10 +28,10 @@ import numpy as np
 from .datasets import DATASETS, DatasetMissing, load_dataset
 from .dfsp import EstimationError, dfsp, harden
 from .generator import GeneratorSpec, as_kind, read_key, sample_adjacency
-from .graph import WeightedGraph
+from .graph import ParseError, WeightedGraph, read_text
 from .metrics import ErrorPair, accuracy_rate, membership_errors, mislabel_count, mixedness_indices
 from .modularity import KScanPoint, KScanResult, estimate_k, fuzzy_weighted_modularity
-from .spectral import _library, top_k_eigen
+from .spectral import blas_threads, set_blas_threads, top_k_eigen
 
 PROFILES = {"paper": 100, "ci": 25}
 # the JSON kind of each config key but the generator, in field order
@@ -104,7 +104,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
+        """Read a UTF-8 JSON config file as from_dict reads its object; a
+        file that is not UTF-8 or not JSON raises ParseError naming it and
+        the line."""
+        text = read_text(path)
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"{exc.msg} (column {exc.colno})") from None
+        return cls.from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -165,11 +173,13 @@ def _run_replicate(spec: GeneratorSpec, estimate_counts: bool, k_scan_max: int, 
     """One replicate of spec, on the RNG stream of seed_words, as its _Replicate record.
 
     One eigendecomposition serves the scan and the fit at the true k, which
-    a scanning replicate reads off the scan instead of fitting it again.
+    a scanning replicate reads off the scan instead of fitting it again. It
+    reduces the sampled weights in place, which no other code holds, so a
+    replicate never holds a second n x n matrix.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_words))
     graph = sample_adjacency(spec, rng=rng)
-    spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k)
+    spectrum = top_k_eigen(graph, max(spec.k, k_scan_max) if estimate_counts else spec.k, in_place=True)
     scan = k_hat = None
     if estimate_counts:
         try:
@@ -201,21 +211,6 @@ def _sweep_cell(value: float, true_k: int, records: list[_Replicate]) -> SweepCe
     )
 
 
-def _pin_blas_threads(threads: int) -> None:
-    """Pool initializer: run the scipy-openblas64 library numpy loaded on
-    threads threads; a no-op on a build that does not export the setter."""
-    setter = getattr(_library(), "scipy_openblas_set_num_threads64_", None)
-    if setter is not None:
-        setter(threads)
-
-
-def _blas_threads() -> int | None:
-    """The thread count of the scipy-openblas64 library numpy loaded, or
-    None on a build that does not export the getter."""
-    getter = getattr(_library(), "scipy_openblas_get_num_threads64_", None)
-    return None if getter is None else int(getter())
-
-
 def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     """Execute the sweep protocol; _sweep_cell aggregates each value's records.
 
@@ -231,7 +226,7 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = []
-    threads = _blas_threads()
+    threads = blas_threads()
     with ExitStack() as stack:
         run = map
         if workers > 1:
@@ -241,7 +236,7 @@ def run_simulation(config: ExperimentConfig, workers: int = 1) -> SweepReport:
             pinned = max(1, cores // workers)
             threads = None if threads is None else pinned
             run = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_pin_blas_threads, initargs=(pinned,))).map
+                max_workers=workers, initializer=set_blas_threads, initargs=(pinned,))).map
         for vi, (value, spec) in enumerate(zip(config.sweep_values, config.specs)):
             replicate = partial(_run_replicate, spec, config.estimate_counts, config.k_scan_max)
             seeds = [(config.seed, vi, r) for r in range(config.replications)]

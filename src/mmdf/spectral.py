@@ -1,8 +1,10 @@
 """Symmetric eigendecomposition truncated to the top K eigenpairs by
 magnitude, and greedy vertex hunting by successive projection.
 
-Both are pure functions over immutable inputs. Which solver top_k_eigen
-runs depends on the matrix order n and the numpy build, never on k:
+Both are pure functions over immutable inputs (top_k_eigen(m, k,
+in_place=True) writes m's buffer during the call and restores it bit for
+bit). Which solver top_k_eigen runs depends on the matrix order n and
+the numpy build, never on k:
 
 - below n = 128, or when numpy's LAPACK does not export the routines
   below, a full np.linalg.eigh, truncated;
@@ -35,12 +37,13 @@ take prefixes with TopKEigen.head.
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import _BLOCK_ROWS, WeightedGraph
 
 # relative symmetry tolerance for eigensolver input
 _SYMMETRY_TOL = 1e-9
@@ -92,7 +95,7 @@ class TopKEigen:
         return TopKEigen(vectors=self.vectors[:, :k], values=self.values[:k], next_magnitude=nxt)
 
 
-def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
+def top_k_eigen(m: np.ndarray | WeightedGraph, k: int, *, in_place: bool = False) -> TopKEigen:
     """Eigenpairs of a symmetric matrix with the k largest |eigenvalues|.
 
     Arguments:
@@ -103,6 +106,16 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
             symmetric one within the tolerance is replaced by its
             average 0.5 * m + 0.5 * m.T first.
         k: number of eigenpairs, 1 <= k <= n.
+        in_place: let the partial solve reduce m's own buffer (a graph's
+            weights, or the exactly symmetric array as given) instead of
+            a copy of it, and restore it bit for bit, read-only flag
+            included, before returning or raising. It saves one n x n
+            copy, and is only for a matrix that no other thread reads
+            during the call. The partial solve copies as before where m
+            is not a C-contiguous buffer it can make writable, or where
+            it must rescale m (largest |entry| outside 2**-485..2**485);
+            np.linalg.eigh copies anyway, so there it changes nothing.
+            The result is bitwise the same either way.
 
     For n < 128, or when numpy's LAPACK lacks dsytrd, dstemr, dstedc and
     dormtr, this is a full np.linalg.eigh; otherwise a partial solve in
@@ -140,13 +153,14 @@ def top_k_eigen(m: np.ndarray | WeightedGraph, k: int) -> TopKEigen:
     lapack = _lapack() if n >= _PARTIAL_MIN_N else None
     if lapack is None:
         vals, full = np.linalg.eigh(m)
-
-        def vectors_at(indices):
-            return full[:, indices]
+        order = np.argsort(-np.abs(vals), kind="stable")
+        vecs = full[:, order[:k]]
     else:
-        vals, vectors_at = _partial_eigh(m, lapack, k, peak)
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vecs = vectors_at(order[:k])
+        # dormtr reads the reduced matrix while the vectors are formed
+        with _reducible(m, peak, in_place) as (a, shift):
+            vals, vectors_at = _partial_eigh(a, lapack, k, shift)
+            order = np.argsort(-np.abs(vals), kind="stable")
+            vecs = vectors_at(order[:k])
     if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
         raise ValueError("eigendecomposition returned non-finite eigenpairs")
     nxt = float(abs(vals[order[k]])) if k < n else 0.0
@@ -176,6 +190,22 @@ def _library() -> ctypes.CDLL | None:
         return ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
+
+
+def set_blas_threads(threads: int) -> None:
+    """Run the scipy-openblas64 library numpy loaded on threads threads
+    (a process pool's initializer); a no-op on a build that does not
+    export the setter."""
+    setter = getattr(_library(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter(threads)
+
+
+def blas_threads() -> int | None:
+    """The thread count of the scipy-openblas64 library numpy loaded, or
+    None on a build that does not export the getter."""
+    getter = getattr(_library(), "scipy_openblas_get_num_threads64_", None)
+    return None if getter is None else int(getter())
 
 
 @cache
@@ -223,11 +253,59 @@ def _with_workspace(routine, args: tuple, info: ctypes.c_int64, lengths: tuple) 
     _check(routine, info)
 
 
-def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
-    """Eigenvalues of the exactly symmetric m (ascending) that include
-    the k + 1 of largest magnitude, and a function from indices into
-    them to the (n, len(indices)) eigenvectors at those indices. peak is
-    m's largest |entry|, which is finite.
+@contextmanager
+def _reducible(m: np.ndarray, peak: float, in_place: bool):
+    """(a, shift): the exactly symmetric m times 2**shift, as a C-order
+    buffer that LAPACK may overwrite. shift is 0 unless m's finite
+    largest |entry| peak lies outside _SAFE_PEAK; then the power of two
+    puts it in [1, 2), which is exact. a is a copy of m, or, with
+    in_place and shift 0, m's own C-contiguous buffer, restored on exit.
+
+    C order read as Fortran order is m.T, which is m. With UPLO = 'L',
+    dsytrd and dormtr write only Fortran's lower triangle, the C-order
+    upper one with the diagonal, and never touch the C-order strict lower
+    triangle. The restore copies that strict lower triangle back over
+    the upper one in blocks of _BLOCK_ROWS rows, like the sampler's
+    mirror, and the diagonal from a copy taken first. Copies keep every
+    bit, -0.0 included, where adding a zero would not.
+    """
+    shift = 0
+    if not _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] and peak > 0.0:
+        shift = 1 - int(np.frexp(peak)[1])
+    own = in_place and not shift and m.flags.c_contiguous
+    writeable = m.flags.writeable
+    if own:
+        try:
+            m.setflags(write=True)
+        except ValueError:  # a read-only view of memory it does not own
+            own = False
+    if not own:
+        a = np.array(m, order="C")
+        if shift:
+            np.ldexp(a, shift, out=a)
+        yield a, shift
+        return
+    n = m.shape[0]
+    diagonal = m.diagonal().copy()
+    try:
+        yield m, 0
+    finally:
+        above = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
+        for s in range(0, n, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, n)
+            tile = m[s:e, s:e]
+            np.copyto(tile, tile.T, where=above[: e - s, : e - s])
+            m[s:e, e:] = m[e:, s:e].T
+        np.fill_diagonal(m, diagonal)
+        m.setflags(write=writeable)
+
+
+def _partial_eigh(a: np.ndarray, lapack: dict, k: int, shift: int):
+    """Eigenvalues of the exactly symmetric a (ascending), divided by
+    2**shift, that include the k + 1 of largest magnitude, and a function
+    from indices into them to the (n, len(indices)) eigenvectors at those
+    indices. a is a C-order buffer that dsytrd overwrites and dormtr reads
+    whenever the function is called.
 
     Chunks open in _chunk_order until the k + 1 largest magnitudes among
     their values exceed every magnitude the unopened middle can hold.
@@ -239,15 +317,7 @@ def _partial_eigh(m: np.ndarray, lapack: dict, k: int, peak: float):
     columns returned for an index do not depend on k or on which other
     indices are requested.
     """
-    n = m.shape[0]
-    # C order read as Fortran order is m.T, which is m; LAPACK overwrites it
-    a = np.array(m, order="C")
-    shift = 0
-    if not _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] and peak > 0.0:
-        # exact: a power of two puts the largest |entry| in [1, 2)
-        shift = 1 - int(np.frexp(peak)[1])
-        np.ldexp(a, shift, out=a)
-
+    n = a.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(max(n - 1, 1))
     info = ctypes.c_int64()
     _with_workspace(lapack["dsytrd"], (b"L", _int(n), a.ctypes.data, _int(n), d.ctypes.data,

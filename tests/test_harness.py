@@ -18,9 +18,9 @@ import mmdf
 from mmdf.cli import main
 from mmdf.datasets import DATASETS, load_dataset
 from mmdf.generator import EdgeDistribution, Family, GeneratorSpec, build_membership, check_connectivity
-from mmdf.harness import (PROFILES, ExperimentConfig, SweepCell, _pin_blas_threads, _Replicate, _sweep_cell,
-                          run_simulation)
+from mmdf.harness import PROFILES, ExperimentConfig, SweepCell, _Replicate, _sweep_cell, run_simulation
 from mmdf.metrics import ErrorPair, accuracy_rate
+from mmdf.spectral import set_blas_threads
 
 from conftest import shuffled_copies, standard_spec
 
@@ -168,7 +168,7 @@ class TestRunSimulation:
         pooled, alone = run_simulation(config, workers=2), run_simulation(config)
         assert pooled == alone
         # one pool, whose processes each get their share of the cores
-        assert built == [{"max_workers": 2, "initializer": _pin_blas_threads,
+        assert built == [{"max_workers": 2, "initializer": set_blas_threads,
                           "initargs": (TWO_WORKER_THREADS,)}]
         # and each report says how many threads its fits ran on
         here = blas_threads()
@@ -204,11 +204,11 @@ class TestRunSimulation:
         config = ExperimentConfig(generator=spec, sweep_values=(0.3, 0.8), replications=3,
                                   estimate_counts=True, k_scan_max=5, seed=4, profile="ci")
         pooled = run_simulation(config, workers=2)
-        _pin_blas_threads(TWO_WORKER_THREADS)
+        set_blas_threads(TWO_WORKER_THREADS)
         try:
             alone = run_simulation(config)
         finally:
-            _pin_blas_threads(before)
+            set_blas_threads(before)
         assert blas_threads() == before
         for name, report in (("pooled", pooled), ("alone", alone)):
             report.write_csv(tmp_path / f"{name}.csv")
@@ -698,6 +698,30 @@ class TestCli:
         assert result.output.splitlines() == [f"error: {tmp_path / name}, {message}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, data, line_no", [
+        ("g.edges", b"a b 1\r\n# c\r\nc \xff 2\r\n", 3),
+        ("g.labels", b"\xef\xbb\xbfa\rb\r\xffc\n", 3),
+        ("polblogs.truth", b"0\n1 \xc3\n0\n", 2),
+        ("config.json", b'{\n  "seed": 1,\n  "profile": "\xe9"\n}\n', 3),
+    ], ids=["edges", "labels", "truth", "config"])
+    def test_a_file_that_is_not_utf8_names_its_file_and_line(self, tmp_path, name, data, line_no):
+        # line ends count as text mode reads them: "\r\n", "\r" and "\n"
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "polblogs.edges").write_text("1 2\n2 3\n3 1\n")
+        (tmp_path / name).write_bytes(data)
+        out = str(tmp_path / "o")
+        args = {"g.edges": ["detect", str(tmp_path / "g.edges"), "--out", out],
+                "g.labels": ["detect", str(tmp_path / "g.edges"), "--labels", str(tmp_path / name), "--out", out],
+                "polblogs.truth": ["datasets", "--only", "polblogs", "--cache", str(tmp_path), "--out", out],
+                "config.json": ["simulate", "--config", str(tmp_path / name), "--out", out]}[name]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        prefix = "bad config: " if name == "config.json" else ""
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {prefix}{tmp_path / name}, line {line_no}: not UTF-8: byte 0x")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--only", "karate", "--only", "nope"], "unknown dataset 'nope'; known: " + ", ".join(DATASETS)),
         (["--k-max", "0"], "k_max must be >= 1, got 0"),
@@ -963,6 +987,14 @@ class TestConfigReader:
         result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
         assert result.exit_code == 2
         assert "error: bad config: config must be a JSON object" in result.output
+
+    def test_a_file_that_is_not_json_names_its_file_and_line(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "seed": 1,\n}\n')
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"error: bad config: {path}, line 3: Expecting property name enclosed in double quotes (column 1)"]
 
     def test_n_and_k_round_trip_and_unknown_keys_are_ignored(self):
         config = small_config(values=(2.0,), reps=2)

@@ -12,7 +12,9 @@ import pytest
 
 from dataclasses import replace
 
+from mmdf import spectral
 from mmdf.generator import Family, sample_adjacency
+from mmdf.harness import _run_replicate
 from mmdf.modularity import estimate_k
 from mmdf.spectral import top_k_eigen
 
@@ -65,3 +67,25 @@ def test_scan_forms_no_dense_part(spec):
     scan, peak = traced_peak(lambda: estimate_k(graph, k_max=5, eigen=spectrum))
     assert all(p.ok for p in scan.curve)
     assert peak <= 0.5 * W
+
+
+def test_a_replicate_holds_one_matrix(spec):
+    # sampling, the in-place eigensolve and the scan to k = 5: the bound
+    # of the sampling stage, which sets the replicate's peak. A copy of W
+    # in the eigensolver would take it to 2.7 W
+    if spectral._lapack() is None:
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
+    record, peak = traced_peak(lambda: _run_replicate(spec, True, 5, (0, 0, 0)))
+    assert record.errors is not None and record.k_hat is not None
+    assert peak <= 1.6 * W
+
+
+def test_the_in_place_eigensolve_holds_no_copy(spec):
+    # workspace and chunk vectors only (0.12 W at n = 400); the copying
+    # solve holds a second W
+    if spectral._lapack() is None:
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
+    graph = sample_adjacency(spec)
+    spectrum, peak = traced_peak(lambda: top_k_eigen(graph, 5, in_place=True))
+    assert spectrum.values.shape == (5,)
+    assert peak <= 0.25 * W

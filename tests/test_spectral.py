@@ -561,6 +561,96 @@ def test_a_cluster_widens_an_end_chunk(monkeypatch, rng):
     assert {(il, iu) for il, iu in ranges(calls) if il in inside or iu + 1 in inside} == {(n - 4, n)}
 
 
+def top_clustered(rng, n):
+    # 12 eigenvalues within 1e-8 of the radius: a chunk would end inside
+    # the cluster, so the partial solve runs dstedc
+    spectrum = spaced(rng, -1.0, 1.0, n)
+    spectrum[-12:] = 2.0 + rng.uniform(0.0, 1e-8, 12)
+    return with_spectrum(rng, spectrum)
+
+
+def in_place_input(rng, family, n, scale, sign, as_graph, writeable):
+    """family's matrix times sign * scale, with -0.0 wherever sign = -1
+    meets a zero, as a graph (zero diagonal) or an array."""
+    m = sign * scale * family(rng, n)
+    if as_graph:
+        np.fill_diagonal(m, 0.0)
+        return WeightedGraph(m)
+    m.setflags(write=writeable)
+    return m
+
+
+def assert_same_eigen(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.next_magnitude == want.next_magnitude
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(N_PARTIAL - 20, N_PARTIAL + 60),
+       st.sampled_from([random_symmetric, rotated_blocks, bipartite, top_clustered]),
+       st.sampled_from([1.0, 2.0**600, 2.0**-600]), st.sampled_from([1.0, -1.0]),
+       st.sampled_from(["graph", "array", "read-only array"]), st.integers(1, 16))
+def test_in_place_is_bitwise_the_copy_and_restores_the_input(seed, n, family, scale, sign, kind, k):
+    # a peak outside 2**-485..2**485 takes the rescaled copy instead, and
+    # below N_PARTIAL eigh copies anyway: every path gives the copy's bits
+    x = in_place_input(np.random.default_rng(seed), family, n, scale, sign, kind == "graph",
+                       kind == "array")
+    w = x.weights if kind == "graph" else x
+    before, writeable = w.tobytes(), w.flags.writeable
+    want = top_k_eigen(x, k)
+    assert_same_eigen(top_k_eigen(x, k, in_place=True), want)
+    assert w.tobytes() == before and w.flags.writeable == writeable
+    assert_same_eigen(top_k_eigen(x, k), want)
+
+
+def test_in_place_takes_the_callers_buffer_and_the_dstedc_fallback(monkeypatch, rng):
+    # the partial solve reduces the array itself (dsytrd gets its address)
+    # and runs dstedc on the cluster, and the array reads back unchanged
+    calls = counted_lapack(monkeypatch)
+    m = top_clustered(rng, N_PARTIAL + 5)
+    before = m.tobytes()
+    want = top_k_eigen(m.copy(), 14)
+    calls.clear()
+    assert_same_eigen(top_k_eigen(m, 14, in_place=True), want)
+    assert "dstedc" in {name for name, _ in calls}
+    assert {args[2] for name, args in calls if name == "dsytrd"} == {m.ctypes.data}
+    assert m.tobytes() == before
+
+
+@pytest.mark.parametrize("failing, at", [("dsytrd", 2), ("dstedc", 1), ("dormtr", 2)])
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_in_place_restores_the_input_when_lapack_fails(monkeypatch, rng, failing, at, kind):
+    # the routine runs, then reports failure (dsytrd and dormtr at their
+    # call after the workspace query, once the buffer is reduced); dstemr
+    # refuses every range so that dstedc runs
+    routines = spectral._lapack()
+    if routines is None:
+        pytest.skip("numpy's LAPACK does not export dsytrd/dstemr/dstedc/dormtr")
+    seen = []
+
+    def patched(name, routine):
+        def call(*args):
+            if name == "dstemr":
+                args[-3]._obj.value = 22
+                return None
+            routine(*args)
+            seen.append(name)
+            if name == failing and seen.count(name) == at:
+                args[-2 if name != "dormtr" else -4]._obj.value = -99  # INFO
+
+        call.__name__ = routine.__name__
+        return call
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: {name: patched(name, r) for name, r in routines.items()})
+    x = in_place_input(rng, random_symmetric, N_PARTIAL + 12, 1.0, -1.0, kind == "graph", True)
+    w = x.weights if kind == "graph" else x
+    before, writeable = w.tobytes(), w.flags.writeable
+    with pytest.raises(ValueError, match=f"LAPACK scipy_{failing}_64_ returned info=-99"):
+        top_k_eigen(x, 5, in_place=True)
+    assert w.tobytes() == before and w.flags.writeable == writeable
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.integers(1, 6)), min_size=1, max_size=60))
 def test_chunk_bounds_partition_without_splitting_clusters(clusters):
